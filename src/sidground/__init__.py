@@ -76,7 +76,6 @@ from .pool import (
     NewsPool,
     PrefixIndex,
     build_index,
-    ingest,
     refresh,
     temporal_split,
 )

@@ -34,14 +34,15 @@ from .evaluation import load_samples
 from .fixture import FixtureSpec, make_synthetic_fixture, write_fixture
 from .generator import from_spec as generator_from_spec
 from .generator import PoolSampledGenerator
-from .matcher import fuzzy_match, grid_search_delta, validate_prefix
+from .jsonl import write_jsonl
+from .matcher import fuzzy_match, grid_search_delta
 from .padr import (
     EMPTY_HISTORY,
     load_histories,
     load_profiles,
     route,
 )
-from .pool import build_index, load_snapshot, save_snapshot, write_article_jsonl
+from .pool import NewsPool, build_index, load_snapshot, save_snapshot, write_article_jsonl
 from .ranking import rank as rank_candidates
 from .report import run_eval, write_report
 from .server import RecommendService, serve_forever
@@ -65,11 +66,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _parse_prefix(text: str):
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != 3:
-        raise SidgroundError(f"--prefix expects s1,s2,s3, got {text!r}")
-    return validate_prefix(tuple(int(p) for p in parts))
+def _parse_prefix(text: str, pool: NewsPool):
+    """--prefix s1,s2,s3, range-checked against the snapshot's layer sizes."""
+    try:
+        values = tuple(int(p) for p in text.split(",") if p.strip())
+    except ValueError as e:
+        raise SidgroundError(f"--prefix expects s1,s2,s3, got {text!r}") from e
+    return cb.validate_sid(values, pool.layer_sizes[:3], what="--prefix")
 
 
 def _parse_cutoff(text: str) -> float:
@@ -228,9 +231,7 @@ def _cmd_codebook(args, cfg) -> int:
         book = cb.load_codebook(args.codebook)
         ids, corpus = cb.load_embedding_corpus(args.corpus)
         sids = cb.assign_sids(book, corpus)
-        with open(args.out, "w", encoding="utf-8") as f:
-            for aid, sid in zip(ids, sids):
-                f.write(json.dumps({"id": aid, "sid": list(sid)}) + "\n")
+        write_jsonl(args.out, ({"id": aid, "sid": list(sid)} for aid, sid in zip(ids, sids)))
         _emit({"out": args.out, "assigned": len(sids)})
     elif args.subcommand == "stats":
         book = cb.load_codebook(args.codebook)
@@ -250,12 +251,12 @@ def _read_id_lines(path) -> list[str]:
 
 def _cmd_pool(args, cfg) -> int:
     if args.subcommand == "ingest":
-        pool = poolmod.ingest(args.infile, layer_sizes=cfg.layer_sizes)
+        pool = load_snapshot(args.infile, layer_sizes=cfg.layer_sizes)
         save_snapshot(pool, args.out)
         _emit({"out": args.out, "articles": len(pool), "version": pool.version})
     elif args.subcommand == "refresh":
         base = load_snapshot(args.base, layer_sizes=cfg.layer_sizes)
-        add = load_snapshot(args.add, layer_sizes=cfg.layer_sizes).articles if args.add else ()
+        add = load_snapshot(args.add, layer_sizes=base.layer_sizes).articles if args.add else ()
         remove = _read_id_lines(args.remove) if args.remove else ()
         new_pool = poolmod.refresh(base, add=add, remove=remove)
         save_snapshot(new_pool, args.out)
@@ -277,7 +278,7 @@ def _cmd_pool(args, cfg) -> int:
 def _cmd_match(args, cfg) -> int:
     pool = load_snapshot(args.index, layer_sizes=cfg.layer_sizes)
     index = build_index(pool)
-    prefix = _parse_prefix(args.prefix)
+    prefix = _parse_prefix(args.prefix, pool)
     if args.deltas:
         deltas = [int(d) for d in args.deltas.split(",") if d.strip()]
         rows = grid_search_delta([prefix], deltas, index)
@@ -309,7 +310,7 @@ def _pick_profile(profiles: dict, user_id):
 def _cmd_padr(args, cfg) -> int:
     profiles = load_profiles(args.profile)
     profile = _pick_profile(profiles, args.user_id)
-    histories = load_histories(args.history) if args.history else {}
+    histories = load_histories(args.history, cfg.layer_sizes) if args.history else {}
     history = histories.get(profile.user_id, EMPTY_HISTORY)
     tau = args.tau if args.tau is not None else cfg.tau
     ctx = route(profile, history, args.query, tau=tau)
@@ -326,18 +327,19 @@ def _cmd_gen(args, cfg) -> int:
     profile = profile_from_record(req["profile"]) if req.get("profile") else None
     if profile is None:
         raise SidgroundError("context file needs a 'profile' object")
+    training_pool = load_snapshot(args.pool, layer_sizes=cfg.layer_sizes) if args.pool else None
+    sizes = training_pool.layer_sizes if training_pool else cfg.layer_sizes
     _, history = history_from_record(
-        {"user_id": profile.user_id, "clicks": req.get("clicks", [])}
+        {"user_id": profile.user_id, "clicks": req.get("clicks", [])}, sizes
     )
     tau = int(req.get("tau", cfg.tau))
     ctx = route(profile, history, str(req.get("query", "")), tau=tau)
     if req.get("sample_id") is not None:
         ctx = dc_replace(ctx, sample_id=str(req["sample_id"]))
-    training_pool = load_snapshot(args.pool, layer_sizes=cfg.layer_sizes) if args.pool else None
     seed = args.seed if args.seed is not None else cfg.seed
     k = args.k if args.k is not None else cfg.k
     gen = generator_from_spec(args.generator, training_pool=training_pool, seed=seed,
-                              k=k, layer_sizes=cfg.layer_sizes)
+                              k=k, layer_sizes=sizes)
     out = gen.generate(ctx)
     _emit({
         "path": ctx.path,
@@ -352,7 +354,7 @@ def _cmd_rank(args, cfg) -> int:
     index = build_index(pool)
     profiles = load_profiles(args.profile)
     profile = _pick_profile(profiles, args.user_id)
-    prefix = _parse_prefix(args.prefix)
+    prefix = _parse_prefix(args.prefix, pool)
     delta = args.delta if args.delta is not None else cfg.delta
     k = args.k if args.k is not None else cfg.k
     lam = args.lam if args.lam is not None else cfg.lam
@@ -380,9 +382,9 @@ def _cmd_rank(args, cfg) -> int:
 def _cmd_serve(args, cfg) -> int:
     pool = load_snapshot(args.pool, layer_sizes=cfg.layer_sizes)
     profiles = load_profiles(args.profiles)
-    histories = load_histories(args.histories) if args.histories else {}
+    histories = load_histories(args.histories, pool.layer_sizes) if args.histories else {}
     generator = generator_from_spec(args.generator, training_pool=pool, seed=cfg.seed,
-                                    k=cfg.k, layer_sizes=cfg.layer_sizes)
+                                    k=cfg.k, layer_sizes=pool.layer_sizes)
     ttl = args.ttl if args.ttl is not None else cfg.ttl_seconds
     port = args.port if args.port is not None else cfg.port
     service = RecommendService(
@@ -415,7 +417,7 @@ def _cmd_bench(args, cfg) -> int:
         )
         contexts.append((route(profile, EMPTY_HISTORY, f"recommend {cat} news", tau=cfg.tau),
                          profile))
-    cache = SIDCache()
+    cache = SIDCache(layer_sizes=pool.layer_sizes)
     gen = PoolSampledGenerator(pool, seed=seed, k=cfg.k)
     for ctx, _ in contexts:
         from .dualtrack import enhance_track
@@ -434,13 +436,13 @@ def _cmd_eval(args, cfg) -> int:
         _emit({"out": args.out, "paths": paths, "articles": len(fixture.pool),
                "users": len(fixture.profiles), "samples": len(fixture.samples)})
         return 0
-    samples = load_samples(args.samples)
     pool = load_snapshot(args.pool, layer_sizes=cfg.layer_sizes)
+    samples = load_samples(args.samples, pool.layer_sizes)
     profiles = load_profiles(args.profiles) if args.profiles else {}
-    histories = load_histories(args.histories) if args.histories else {}
+    histories = load_histories(args.histories, pool.layer_sizes) if args.histories else {}
     seed = args.seed if args.seed is not None else cfg.seed
     generator = generator_from_spec(args.generator, training_pool=pool, seed=seed,
-                                    k=cfg.k, layer_sizes=cfg.layer_sizes)
+                                    k=cfg.k, layer_sizes=pool.layer_sizes)
     report = run_eval(
         samples, pool, generator, profiles=profiles, histories=histories,
         tau=args.tau if args.tau is not None else cfg.tau,

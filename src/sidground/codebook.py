@@ -23,7 +23,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidInputError, RecordParseError
+from .errors import InsufficientDataError, InvalidInputError, RecordParseError, SidRangeError
+from .jsonl import iter_jsonl
 
 DEFAULT_LAYER_SIZES = (32, 64, 128, 1024)
 
@@ -43,25 +44,50 @@ class SID(NamedTuple):
     s4: int
 
 
+class SIDPrefix(NamedTuple):
+    """First three SID layers: the unit of generation and matching."""
+
+    s1: int
+    s2: int
+    s3: int
+
+
+def validate_sid(values, layer_sizes, what: str = "sid"):
+    """Range-check a SID against the four layer sizes, or a SID prefix
+    against the first three, naming the bad layer.
+
+    Returns a SID, or a SIDPrefix when given three sizes.
+    """
+    if len(values) != len(layer_sizes):
+        raise SidRangeError(f"{what} must have {len(layer_sizes)} layers, got {len(values)}")
+    for l, (v, k) in enumerate(zip(values, layer_sizes), start=1):
+        if type(v) is not int or not 0 <= v < k:     # bool is not an int here
+            raise SidRangeError(f"{what} layer s{l} value {v!r} outside [0, {k - 1}]")
+    return (SID if len(layer_sizes) == 4 else SIDPrefix)(*values)
+
+
 @dataclass(frozen=True)
 class Codebook:
     """Immutable trained codebook: one centroid table per layer."""
 
     layers: tuple[np.ndarray, ...]      # layer l: (K_l, dim) float64
-    layer_sizes: tuple[int, int, int, int]
     dim: int
     seed: int
     trained_on: str                     # corpus fingerprint (sha256 prefix)
 
     def __post_init__(self):
-        if len(self.layers) != 4 or len(self.layer_sizes) != 4:
+        if len(self.layers) != 4:
             raise InvalidInputError("codebook must have exactly 4 layers")
-        for l, (table, k) in enumerate(zip(self.layers, self.layer_sizes), start=1):
-            if table.shape != (k, self.dim):
+        for l, table in enumerate(self.layers, start=1):
+            if table.ndim != 2 or table.shape[1] != self.dim:
                 raise InvalidInputError(
                     f"layer {l} centroid table has shape {table.shape}, "
-                    f"expected {(k, self.dim)}"
+                    f"expected (K, {self.dim})"
                 )
+
+    @property
+    def layer_sizes(self) -> tuple[int, int, int, int]:
+        return tuple(table.shape[0] for table in self.layers)  # type: ignore[return-value]
 
 
 def _as_corpus(corpus) -> np.ndarray:
@@ -193,7 +219,6 @@ def train_codebook(
 
     return Codebook(
         layers=tuple(layers),
-        layer_sizes=layer_sizes,  # type: ignore[arg-type]
         dim=points.shape[1],
         seed=int(seed),
         trained_on=fingerprint,
@@ -301,7 +326,6 @@ def load_codebook(path) -> Codebook:
         layers.append(arr)
     return Codebook(
         layers=tuple(layers),
-        layer_sizes=layer_sizes,  # type: ignore[arg-type]
         dim=dim,
         seed=int(doc["seed"]),
         trained_on=str(doc["trained_on"]),
@@ -315,27 +339,17 @@ def load_embedding_corpus(path) -> tuple[list[str], np.ndarray]:
     """
     ids: list[str] = []
     rows: list[list[float]] = []
-    dim = None
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise RecordParseError(f"bad JSON: {e.msg}", line=lineno) from e
-            if "id" not in rec or "embedding" not in rec:
-                raise RecordParseError("record needs 'id' and 'embedding'", line=lineno)
-            vec = rec["embedding"]
-            if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
-                raise RecordParseError(
-                    f"embedding dimension {len(vec)} != {dim}", line=lineno
-                )
-            ids.append(str(rec["id"]))
-            rows.append(vec)
+
+    def parse(rec):
+        vec = rec["embedding"]
+        dim = len(rows[0]) if rows else len(vec)
+        if len(vec) != dim:
+            raise RecordParseError(f"embedding dimension {len(vec)} != {dim}")
+        return str(rec["id"]), vec
+
+    for _, (aid, vec) in iter_jsonl(path, parse):
+        ids.append(aid)
+        rows.append(vec)
     if not rows:
         raise InvalidInputError(f"no embeddings found in {path}")
     return ids, np.asarray(rows, dtype=np.float64)

@@ -31,9 +31,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
-from .errors import EmptyPoolError, ConsistencyError, RecordParseError
+from .codebook import DEFAULT_LAYER_SIZES, validate_sid
+from .errors import EmptyPoolError, ConsistencyError, InvalidInputError
 from .hashing import fnv1a_64
-from .matcher import MatchResult, SIDPrefix, fuzzy_match, validate_prefix
+from .jsonl import iter_jsonl
+from .matcher import MatchResult, SIDPrefix, fuzzy_match
 from .padr import UserContext, UserProfile, preset_queries
 from .pool import NewsPool, PrefixIndex
 from .ranking import RankedCandidate, rank
@@ -79,13 +81,16 @@ class SIDCache:
 
     Entries are immutable and replaced whole, so readers never observe a
     torn entry; expiry is absolute (a hit does not refresh ts). An
-    optional append-log persists entries across restarts.
+    optional append-log persists entries across restarts. layer_sizes is
+    the codebook of the snapshot the cache serves; every prefix installed
+    by enhance_track or replayed by load is range-checked against it.
     """
 
-    def __init__(self, persist_path=None):
+    def __init__(self, persist_path=None, layer_sizes=DEFAULT_LAYER_SIZES):
         self._entries: dict[int, CacheEntry] = {}
         self._lock = threading.Lock()
         self._persist_path = persist_path
+        self.layer_sizes = tuple(layer_sizes)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -105,17 +110,18 @@ class SIDCache:
 
     def load(self, path):
         """Replay a persistence log; later lines win."""
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    entry = _entry_from_record(rec)
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-                    raise RecordParseError(f"bad cache entry: {e}", line=lineno) from e
-                self._entries[entry.ctx_hash] = entry
+        for _, entry in iter_jsonl(path, self._entry_from_record):
+            self._entries[entry.ctx_hash] = entry
+
+    def _entry_from_record(self, rec: dict) -> CacheEntry:
+        return CacheEntry(
+            ctx_hash=int(rec["ctx_hash"]),
+            prefixes=tuple(validate_sid(p, self.layer_sizes[:3], what="cache prefix")
+                           for p in rec["prefixes"]),
+            reason=str(rec.get("reason", "")),
+            ts=float(rec["ts"]),
+            ttl_seconds=int(rec.get("ttl_seconds", DEFAULT_TTL_SECONDS)),
+        )
 
 
 def _entry_record(entry: CacheEntry) -> dict:
@@ -126,16 +132,6 @@ def _entry_record(entry: CacheEntry) -> dict:
         "ts": entry.ts,
         "ttl_seconds": entry.ttl_seconds,
     }
-
-
-def _entry_from_record(rec: dict) -> CacheEntry:
-    return CacheEntry(
-        ctx_hash=int(rec["ctx_hash"]),
-        prefixes=tuple(validate_prefix(p, what="cache prefix") for p in rec["prefixes"]),
-        reason=str(rec.get("reason", "")),
-        ts=float(rec["ts"]),
-        ttl_seconds=int(rec.get("ttl_seconds", DEFAULT_TTL_SECONDS)),
-    )
 
 
 @dataclass(frozen=True)
@@ -221,6 +217,44 @@ def _as_matches(articles) -> list[MatchResult]:
     return [MatchResult(article_id=a.id, score=1.0, s3_distance=0) for a in articles]
 
 
+class _Request:
+    """One serve call: what it ranks for, its stage timings from its
+    start, and the one place its ServeResponse is assembled."""
+
+    def __init__(self, context: UserContext, pool: NewsPool, profile: UserProfile,
+                 k: int, lam: float, now: float | None):
+        if k < 1:
+            raise InvalidInputError(f"k must be >= 1, got {k}")
+        self.context, self.pool, self.profile, self.k, self.lam = context, pool, profile, k, lam
+        self.now = time.time() if now is None else now
+        self.t0 = time.perf_counter()
+        self.lookup_ms = 0.0
+        self.match_ms = 0.0
+
+    def match(self, prefixes: Iterable[SIDPrefix], index: PrefixIndex, delta: int) -> list[MatchResult]:
+        t = time.perf_counter()
+        merged = _match_prefixes(prefixes, index, delta=delta, k=self.k)
+        self.match_ms += (time.perf_counter() - t) * 1000.0
+        return merged
+
+    def respond(self, candidates: list[MatchResult], served_from: str) -> ServeResponse:
+        t_rank = time.perf_counter()
+        ranked = rank(candidates, self.pool, self.profile, now=self.now, lam=self.lam,
+                      history=self.context.history)[:self.k]
+        t_end = time.perf_counter()
+        return ServeResponse(
+            articles=tuple(ranked),
+            served_from=served_from,
+            latency=LatencyBreakdown(
+                lookup_ms=self.lookup_ms,
+                match_ms=self.match_ms,
+                rank_ms=(t_end - t_rank) * 1000.0,
+                total_ms=(t_end - self.t0) * 1000.0,
+            ),
+            pool_version=self.pool.version,
+        )
+
+
 def fallback_cascade(
     context: UserContext,
     index: PrefixIndex,
@@ -234,6 +268,7 @@ def fallback_cascade(
     lam: float = 0.1,
     now: float | None = None,
     click_counts: dict[str, int] | None = None,
+    _request: _Request | None = None,
 ) -> ServeResponse:
     """Walk levels start_level..4 until one yields at least one article.
 
@@ -243,56 +278,37 @@ def fallback_cascade(
     Level 3: most-clicked (or most recent, absent a click log) articles
     in the profile's top categories.
     Level 4: pool-wide top articles. Only an empty pool can fail here.
+
+    fast_track passes its own _request (which then supplies k, lam and
+    now), so one response carries the timings of the whole request.
     """
     if start_level not in (1, 2, 3, 4):
         raise ConsistencyError(f"start_level must be 1..4, got {start_level}")
     if len(pool) == 0:
         raise EmptyPoolError("cannot serve from an empty pool")
-    now = time.time() if now is None else now
-    t0 = time.perf_counter()
-    match_ms = 0.0
-
-    def _respond(candidates: list[MatchResult], served_from: str) -> ServeResponse:
-        t_rank = time.perf_counter()
-        ranked = rank(candidates, pool, profile, now=now, lam=lam, history=context.history)[:k]
-        t_end = time.perf_counter()
-        return ServeResponse(
-            articles=tuple(ranked),
-            served_from=served_from,
-            latency=LatencyBreakdown(
-                lookup_ms=0.0,
-                match_ms=match_ms,
-                rank_ms=(t_end - t_rank) * 1000.0,
-                total_ms=(t_end - t0) * 1000.0,
-            ),
-            pool_version=pool.version,
-        )
+    req = _request or _Request(context, pool, profile, k, lam, now)
 
     if start_level <= 1 and prefixes:
-        t = time.perf_counter()
-        merged = _match_prefixes(prefixes, index, delta=delta, k=k)
-        match_ms += (time.perf_counter() - t) * 1000.0
+        merged = req.match(prefixes, index, delta)
         if merged:
-            return _respond(merged, origin)
+            return req.respond(merged, origin)
 
     if start_level <= 2 and prefixes:
-        t = time.perf_counter()
-        merged = _match_prefixes(prefixes, index, delta=delta + LEVEL2_DELTA_BONUS, k=k)
-        match_ms += (time.perf_counter() - t) * 1000.0
+        merged = req.match(prefixes, index, delta + LEVEL2_DELTA_BONUS)
         if merged:
-            return _respond(merged, SERVED_FALLBACK_2)
+            return req.respond(merged, SERVED_FALLBACK_2)
 
     # Levels 3 and 4 pick exactly the top-k by the level's signal; rank()
     # then only orders the picked set for presentation.
     if start_level <= 3:
         cats = profile.top_categories()
         if cats:
-            chosen = _top_by_popularity(pool, k, click_counts, categories=cats)
+            chosen = _top_by_popularity(pool, req.k, click_counts, categories=cats)
             if chosen:
-                return _respond(_as_matches(chosen), SERVED_FALLBACK_3)
+                return req.respond(_as_matches(chosen), SERVED_FALLBACK_3)
 
-    chosen = _top_by_popularity(pool, k, click_counts)
-    return _respond(_as_matches(chosen), SERVED_FALLBACK_4)
+    chosen = _top_by_popularity(pool, req.k, click_counts)
+    return req.respond(_as_matches(chosen), SERVED_FALLBACK_4)
 
 
 def fast_track(
@@ -322,57 +338,21 @@ def fast_track(
         )
     if len(pool) == 0:
         raise EmptyPoolError("cannot serve from an empty pool")
-    now = time.time() if now is None else now
-
-    t0 = time.perf_counter()
-    entry = cache.get(ctx_hash(context), now)
-    t_lookup = time.perf_counter()
-    lookup_ms = (t_lookup - t0) * 1000.0
+    req = _Request(context, pool, profile, k, lam, now)
+    entry = cache.get(ctx_hash(context), req.now)
+    req.lookup_ms = (time.perf_counter() - req.t0) * 1000.0
 
     if entry is None:
         if schedule_enhance is not None:
             schedule_enhance(context)
-        resp = fallback_cascade(
-            context, index, pool, profile,
-            start_level=3, delta=delta, k=k, lam=lam, now=now, click_counts=click_counts,
-        )
-        total = (time.perf_counter() - t0) * 1000.0
-        return ServeResponse(
-            articles=resp.articles,
-            served_from=resp.served_from,
-            latency=LatencyBreakdown(lookup_ms, resp.latency.match_ms, resp.latency.rank_ms, total),
-            pool_version=resp.pool_version,
-        )
+        return fallback_cascade(context, index, pool, profile, start_level=3,
+                                click_counts=click_counts, _request=req)
 
-    merged = _match_prefixes(entry.prefixes, index, delta=delta, k=k)
-    t_match = time.perf_counter()
-    match_ms = (t_match - t_lookup) * 1000.0
-
+    merged = req.match(entry.prefixes, index, delta)
     if len(merged) >= MIN_LEVEL1_RESULTS:
-        ranked = rank(merged, pool, profile, now=now, lam=lam, history=context.history)[:k]
-        t_end = time.perf_counter()
-        return ServeResponse(
-            articles=tuple(ranked),
-            served_from=SERVED_CACHE,
-            latency=LatencyBreakdown(
-                lookup_ms, match_ms, (t_end - t_match) * 1000.0, (t_end - t0) * 1000.0
-            ),
-            pool_version=pool.version,
-        )
-
-    resp = fallback_cascade(
-        context, index, pool, profile,
-        start_level=2, prefixes=entry.prefixes,
-        delta=delta, k=k, lam=lam, now=now, click_counts=click_counts,
-    )
-    total = (time.perf_counter() - t0) * 1000.0
-    return ServeResponse(
-        articles=resp.articles,
-        served_from=resp.served_from,
-        latency=LatencyBreakdown(lookup_ms, match_ms + resp.latency.match_ms,
-                                 resp.latency.rank_ms, total),
-        pool_version=resp.pool_version,
-    )
+        return req.respond(merged, SERVED_CACHE)
+    return fallback_cascade(context, index, pool, profile, start_level=2, prefixes=entry.prefixes,
+                            delta=delta, click_counts=click_counts, _request=req)
 
 
 def enhance_track(
@@ -386,7 +366,8 @@ def enhance_track(
 
     Runs off the request path (callers submit it to a worker pool). A
     failing generator or an empty output leaves the cache untouched and
-    the fallback keeps serving.
+    the fallback keeps serving. Generated prefixes are range-checked
+    against the cache's layer sizes.
     """
     now = time.time() if now is None else now
     try:
@@ -395,7 +376,8 @@ def enhance_track(
         logger.exception("enhance track: generator failed for user %r", context.user_id)
         return None
     prefixes = tuple(
-        validate_prefix(tuple(p), what="generated prefix") for p in output.prefixes
+        validate_sid(tuple(p), cache.layer_sizes[:3], what="generated prefix")
+        for p in output.prefixes
     )[:CACHE_PREFIX_CAP]
     if not prefixes:
         return None

@@ -14,18 +14,18 @@ results do not depend on iteration or parallel schedule.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .codebook import SID
+from .codebook import DEFAULT_LAYER_SIZES, SID, validate_sid
 from .errors import InvalidInputError, RecordParseError
 from .hashing import derive_seed
+from .jsonl import iter_jsonl, write_jsonl
 from .matcher import SIDPrefix, fuzzy_match, match_count
-from .pool import Article, NewsPool, PrefixIndex, validate_sid
+from .pool import Article, NewsPool, PrefixIndex
 
 INTENT_CANDIDATE_SELECTION = "candidate_selection"
 INTENT_NEXT_ITEM = "next_item"
@@ -106,24 +106,6 @@ class EvalSample:
             )
 
 
-def sample_from_record(rec: dict, line: int | None = None) -> EvalSample:
-    try:
-        target = rec["target"]
-        cands = rec.get("candidates")
-        return EvalSample(
-            sample_id=str(rec["sample_id"]),
-            intent=str(rec["intent"]),
-            user_id=str(rec["user_id"]),
-            query=str(rec.get("query", "")),
-            target_article_id=str(target["article_id"]),
-            target_sid=validate_sid(target["sid"], what="target sid"),
-            history_len=int(rec.get("history_len", 0)),
-            candidates=tuple(str(c) for c in cands) if cands is not None else None,
-        )
-    except (KeyError, TypeError, ValueError, InvalidInputError) as e:
-        raise RecordParseError(f"bad eval sample: {e}", line=line) from e
-
-
 def sample_to_record(s: EvalSample) -> dict:
     rec = {
         "sample_id": s.sample_id,
@@ -138,30 +120,38 @@ def sample_to_record(s: EvalSample) -> dict:
     return rec
 
 
-def load_samples(path) -> list[EvalSample]:
+def load_samples(path, layer_sizes=DEFAULT_LAYER_SIZES) -> list[EvalSample]:
+    """Read eval-sample JSONL; target SIDs are range-checked against layer_sizes."""
+
+    def parse(rec) -> EvalSample:
+        try:
+            target = rec["target"]
+            cands = rec.get("candidates")
+            return EvalSample(
+                sample_id=str(rec["sample_id"]),
+                intent=str(rec["intent"]),
+                user_id=str(rec["user_id"]),
+                query=str(rec.get("query", "")),
+                target_article_id=str(target["article_id"]),
+                target_sid=validate_sid(target["sid"], layer_sizes, what="target sid"),
+                history_len=int(rec.get("history_len", 0)),
+                candidates=tuple(str(c) for c in cands) if cands is not None else None,
+            )
+        except (KeyError, TypeError, ValueError, InvalidInputError) as e:
+            raise RecordParseError(f"bad eval sample: {e}") from e
+
     out = []
     seen = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise RecordParseError(f"bad JSON: {e.msg}", line=lineno) from e
-            s = sample_from_record(rec, line=lineno)
-            if s.sample_id in seen:
-                raise RecordParseError(f"duplicate sample_id {s.sample_id!r}", line=lineno)
-            seen.add(s.sample_id)
-            out.append(s)
+    for lineno, s in iter_jsonl(path, parse):
+        if s.sample_id in seen:
+            raise RecordParseError(f"duplicate sample_id {s.sample_id!r}", line=lineno)
+        seen.add(s.sample_id)
+        out.append(s)
     return out
 
 
 def write_samples(samples: Iterable[EvalSample], path):
-    with open(path, "w", encoding="utf-8") as f:
-        for s in samples:
-            f.write(json.dumps(sample_to_record(s)) + "\n")
+    write_jsonl(path, (sample_to_record(s) for s in samples))
 
 
 # -- Open-generation metrics ---------------------------------------------

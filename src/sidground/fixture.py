@@ -37,9 +37,10 @@ from .evaluation import (
     INTENT_NEXT_ITEM,
     INTENT_PURE_COLDSTART,
     EvalSample,
-    sample_to_record,
+    write_samples,
 )
 from .hashing import derive_seed
+from .jsonl import write_jsonl
 from .padr import (
     BehaviorHistory,
     Click,
@@ -48,7 +49,7 @@ from .padr import (
     history_to_record,
     profile_to_record,
 )
-from .pool import Article, NewsPool
+from .pool import Article, NewsPool, write_article_jsonl
 
 CATEGORIES = (
     "technology", "sports", "finance", "entertainment", "politics", "health",
@@ -413,7 +414,7 @@ def make_synthetic_fixture(spec: FixtureSpec) -> Fixture:
 
     return Fixture(
         spec=spec,
-        pool=NewsPool(articles, version=1, as_of=spec.as_of),
+        pool=NewsPool(articles, version=1, as_of=spec.as_of, layer_sizes=spec.layer_sizes),
         profiles=profiles,
         histories=histories,
         samples=samples,
@@ -439,21 +440,14 @@ def write_fixture(fixture: Fixture, outdir) -> dict[str, str]:
         doc["layer_sizes"] = list(fixture.spec.layer_sizes)
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
-    with open(paths["pool"], "w", encoding="utf-8") as f:
-        for a in fixture.pool.articles:
-            f.write(json.dumps(a.to_record()) + "\n")
-    with open(paths["profiles"], "w", encoding="utf-8") as f:
-        for p in fixture.profiles.values():
-            f.write(json.dumps(profile_to_record(p)) + "\n")
-    with open(paths["histories"], "w", encoding="utf-8") as f:
-        for uid, h in fixture.histories.items():
-            f.write(json.dumps(history_to_record(uid, h)) + "\n")
-    with open(paths["samples"], "w", encoding="utf-8") as f:
-        for s in fixture.samples:
-            f.write(json.dumps(sample_to_record(s)) + "\n")
+    write_article_jsonl(fixture.pool.articles, paths["pool"])
+    write_jsonl(paths["profiles"], (profile_to_record(p) for p in fixture.profiles.values()))
+    write_jsonl(paths["histories"],
+                (history_to_record(uid, h) for uid, h in fixture.histories.items()))
+    write_samples(fixture.samples, paths["samples"])
     if fixture.embeddings is not None:
         paths["embeddings"] = str(outdir / "embeddings.jsonl")
-        with open(paths["embeddings"], "w", encoding="utf-8") as f:
-            for aid, vec in zip(fixture.embedding_ids, fixture.embeddings):
-                f.write(json.dumps({"id": aid, "embedding": [round(x, 6) for x in vec.tolist()]}) + "\n")
+        write_jsonl(paths["embeddings"], (
+            {"id": aid, "embedding": [round(x, 6) for x in vec.tolist()]}
+            for aid, vec in zip(fixture.embedding_ids, fixture.embeddings)))
     return paths

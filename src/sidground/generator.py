@@ -17,17 +17,16 @@ Shipped implementations:
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
 
-from .codebook import DEFAULT_LAYER_SIZES
+from .codebook import DEFAULT_LAYER_SIZES, SIDPrefix, validate_sid
 from .errors import DuplicateKeyError, MissingRecordError, RecordParseError
 from .hashing import derive_seed
-from .matcher import SIDPrefix, validate_prefix
+from .jsonl import iter_jsonl, write_jsonl
 from .padr import UserContext
 from .pool import NewsPool
 
@@ -202,28 +201,20 @@ class ReplayGenerator:
 def load_replay(path, layer_sizes=DEFAULT_LAYER_SIZES) -> ReplayGenerator:
     """Load a replay JSONL file; duplicate sample ids and out-of-range
     prefixes are rejected with line numbers."""
+
+    def parse(rec) -> ReplayRecord:
+        return ReplayRecord(
+            sample_id=str(rec["sample_id"]),
+            prefixes=tuple(validate_sid(p, layer_sizes[:3], what="replay prefix")
+                           for p in rec["prefixes"]),
+            reason=str(rec.get("reason", "")),
+        )
+
     records: dict[str, ReplayRecord] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise RecordParseError(f"bad JSON: {e.msg}", line=lineno) from e
-            try:
-                sample_id = str(rec["sample_id"])
-                prefixes = tuple(
-                    validate_prefix(p, layer_sizes, what="replay prefix") for p in rec["prefixes"]
-                )
-            except KeyError as e:
-                raise RecordParseError(f"missing field {e.args[0]!r}", line=lineno) from e
-            if sample_id in records:
-                raise RecordParseError(f"duplicate sample_id {sample_id!r}", line=lineno)
-            records[sample_id] = ReplayRecord(
-                sample_id=sample_id, prefixes=prefixes, reason=str(rec.get("reason", ""))
-            )
+    for lineno, r in iter_jsonl(path, parse):
+        if r.sample_id in records:
+            raise RecordParseError(f"duplicate sample_id {r.sample_id!r}", line=lineno)
+        records[r.sample_id] = r
     return ReplayGenerator(records)
 
 
@@ -264,15 +255,5 @@ def write_replay(records: list[ReplayRecord], path):
         if r.sample_id in seen:
             raise DuplicateKeyError(f"duplicate sample_id {r.sample_id!r}")
         seen.add(r.sample_id)
-    with open(path, "w", encoding="utf-8") as f:
-        for r in records:
-            f.write(
-                json.dumps(
-                    {
-                        "sample_id": r.sample_id,
-                        "prefixes": [list(p) for p in r.prefixes],
-                        "reason": r.reason,
-                    }
-                )
-                + "\n"
-            )
+    write_jsonl(path, ({"sample_id": r.sample_id, "prefixes": [list(p) for p in r.prefixes],
+                        "reason": r.reason} for r in records))

@@ -16,32 +16,15 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InvalidInputError, SidRangeError
+from .codebook import SIDPrefix
+from .errors import InvalidInputError
 from .pool import PrefixIndex
-from .codebook import DEFAULT_LAYER_SIZES
-
-
-class SIDPrefix(NamedTuple):
-    """First three SID layers: the unit of generation and matching."""
-
-    s1: int
-    s2: int
-    s3: int
 
 
 class MatchResult(NamedTuple):
     article_id: str
     score: float
     s3_distance: int
-
-
-def validate_prefix(values, layer_sizes=DEFAULT_LAYER_SIZES, what: str = "prefix") -> SIDPrefix:
-    if len(values) != 3:
-        raise SidRangeError(f"{what} must have 3 layers, got {len(values)}")
-    for l, (v, kmax) in enumerate(zip(values, layer_sizes), start=1):
-        if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < kmax):
-            raise SidRangeError(f"{what} layer s{l} value {v!r} outside [0, {kmax - 1}]")
-    return SIDPrefix(*(int(v) for v in values))
 
 
 def _order_and_truncate(index: PrefixIndex, scored: list[tuple[float, int, str]], k: int) -> list[MatchResult]:

@@ -15,13 +15,12 @@ identical inputs because the cache keys on a hash of it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .codebook import SID
+from .codebook import DEFAULT_LAYER_SIZES, SID, validate_sid
 from .errors import InvalidInputError, RecordParseError
-from .pool import validate_sid
+from .jsonl import iter_jsonl
 
 DEFAULT_TAU = 10
 HISTORY_RENDER_LIMIT = 20
@@ -208,7 +207,7 @@ def preset_queries(profile: UserProfile, tau: int = DEFAULT_TAU) -> list[UserCon
 # -- JSONL IO ------------------------------------------------------------
 
 
-def profile_from_record(rec: dict, line: int | None = None) -> UserProfile:
+def profile_from_record(rec: dict) -> UserProfile:
     try:
         demo = rec.get("demographics", {})
         activity = rec.get("activity", {})
@@ -229,8 +228,8 @@ def profile_from_record(rec: dict, line: int | None = None) -> UserProfile:
             video_affinity=float(fmt.get("video", 0.0)),
             text_affinity=float(fmt.get("text", 0.0)),
         )
-    except (KeyError, TypeError, ValueError) as e:
-        raise RecordParseError(f"bad profile record: {e}", line=line) from e
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise RecordParseError(f"bad profile record: {e}") from e
 
 
 def profile_to_record(p: UserProfile) -> dict:
@@ -253,12 +252,13 @@ def profile_to_record(p: UserProfile) -> dict:
     }
 
 
-def history_from_record(rec: dict, line: int | None = None) -> tuple[str, BehaviorHistory]:
+def history_from_record(rec: dict, layer_sizes) -> tuple[str, BehaviorHistory]:
+    """Parse a history record; click SIDs are range-checked against layer_sizes."""
     try:
         clicks = tuple(
             Click(
                 article_id=str(c["article_id"]),
-                sid=validate_sid(c["sid"], what="click sid"),
+                sid=validate_sid(c["sid"], layer_sizes, what="click sid"),
                 timestamp=float(c["timestamp"]),
                 dwell_seconds=float(c.get("dwell_seconds", 0.0)),
                 title=str(c.get("title", "")),
@@ -267,8 +267,8 @@ def history_from_record(rec: dict, line: int | None = None) -> tuple[str, Behavi
             for c in rec.get("clicks", ())
         )
         return str(rec["user_id"]), BehaviorHistory(clicks=clicks)
-    except (KeyError, TypeError, ValueError) as e:
-        raise RecordParseError(f"bad history record: {e}", line=line) from e
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise RecordParseError(f"bad history record: {e}") from e
 
 
 def history_to_record(user_id: str, h: BehaviorHistory) -> dict:
@@ -290,33 +290,13 @@ def history_to_record(user_id: str, h: BehaviorHistory) -> dict:
 
 def load_profiles(path) -> dict[str, UserProfile]:
     out: dict[str, UserProfile] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise RecordParseError(f"bad JSON: {e.msg}", line=lineno) from e
-            p = profile_from_record(rec, line=lineno)
-            if p.user_id in out:
-                raise RecordParseError(f"duplicate user_id {p.user_id!r}", line=lineno)
-            out[p.user_id] = p
+    for lineno, p in iter_jsonl(path, profile_from_record):
+        if p.user_id in out:
+            raise RecordParseError(f"duplicate user_id {p.user_id!r}", line=lineno)
+        out[p.user_id] = p
     return out
 
 
-def load_histories(path) -> dict[str, BehaviorHistory]:
-    out: dict[str, BehaviorHistory] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise RecordParseError(f"bad JSON: {e.msg}", line=lineno) from e
-            uid, hist = history_from_record(rec, line=lineno)
-            out[uid] = hist
-    return out
+def load_histories(path, layer_sizes=DEFAULT_LAYER_SIZES) -> dict[str, BehaviorHistory]:
+    """Read history JSONL; a later record for the same user replaces an earlier one."""
+    return dict(h for _, h in iter_jsonl(path, lambda rec: history_from_record(rec, layer_sizes)))

@@ -14,14 +14,15 @@ short scan regardless of pool size.
 
 from __future__ import annotations
 
-import json
 import logging
 from bisect import bisect_left, bisect_right
+from itertools import chain
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .codebook import SID, DEFAULT_LAYER_SIZES
-from .errors import DuplicateKeyError, RecordParseError, SidRangeError
+from .codebook import SID, DEFAULT_LAYER_SIZES, validate_sid
+from .errors import DuplicateKeyError, RecordParseError
+from .jsonl import iter_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -50,39 +51,15 @@ class Article:
         }
 
 
-def validate_sid(values: Sequence[int], layer_sizes=DEFAULT_LAYER_SIZES, what: str = "sid") -> SID:
-    """Check a 4-element code against per-layer ranges, naming the bad layer."""
-    if len(values) != 4:
-        raise SidRangeError(f"{what} must have 4 layers, got {len(values)}")
-    for l, (v, k) in enumerate(zip(values, layer_sizes), start=1):
-        if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < k):
-            raise SidRangeError(f"{what} layer s{l} value {v!r} outside [0, {k - 1}]")
-    return SID(*values)
-
-
-def article_from_record(rec: dict, line: int | None = None, layer_sizes=DEFAULT_LAYER_SIZES) -> Article:
-    """Build an Article from a parsed JSONL record, validating invariants."""
-    try:
-        sid = validate_sid(rec["sid"], layer_sizes, what="sid")
-        published_at = float(rec["published_at"])
-        if published_at <= 0:
-            raise RecordParseError("published_at must be > 0", line=line)
-        return Article(
-            id=str(rec["id"]),
-            title=str(rec.get("title", "")),
-            category=str(rec.get("category", "")),
-            tags=tuple(str(t) for t in rec.get("tags", ())),
-            published_at=published_at,
-            sid=sid,
-        )
-    except KeyError as e:
-        raise RecordParseError(f"missing field {e.args[0]!r}", line=line) from e
-
-
 class NewsPool:
-    """Immutable article snapshot. Do not mutate after construction."""
+    """Immutable article snapshot. Do not mutate after construction.
 
-    def __init__(self, articles: Iterable[Article], version: int = 1, as_of: float = 0.0):
+    layer_sizes is the codebook the snapshot's SIDs come from; every SID
+    or prefix served against the snapshot is range-checked against it.
+    """
+
+    def __init__(self, articles: Iterable[Article], version: int = 1, as_of: float = 0.0,
+                 layer_sizes: Sequence[int] = DEFAULT_LAYER_SIZES):
         arts = list(articles)
         by_id: dict[str, Article] = {}
         for a in arts:
@@ -93,6 +70,7 @@ class NewsPool:
         self.by_id: dict[str, Article] = by_id
         self.version = int(version)
         self.as_of = float(as_of)
+        self.layer_sizes = tuple(layer_sizes)
         self._recency: tuple[Article, ...] | None = None
         self._by_category: dict[str, list[Article]] | None = None
 
@@ -157,34 +135,6 @@ def build_index(pool: NewsPool) -> PrefixIndex:
     return PrefixIndex(buckets=buckets, built_from=pool.version, pool=pool)
 
 
-def ingest(path, layer_sizes=DEFAULT_LAYER_SIZES, as_of: float = 0.0) -> NewsPool:
-    """Read raw article JSONL into a version-1 pool.
-
-    Rejects duplicate ids, malformed records, and out-of-range SIDs with
-    the offending line number.
-    """
-    articles = []
-    seen: set[str] = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise RecordParseError(f"bad JSON: {e.msg}", line=lineno) from e
-            try:
-                art = article_from_record(rec, line=lineno, layer_sizes=layer_sizes)
-            except SidRangeError as e:
-                raise SidRangeError(f"line {lineno}: {e}") from e
-            if art.id in seen:
-                raise DuplicateKeyError(f"line {lineno}: duplicate article id {art.id!r}")
-            seen.add(art.id)
-            articles.append(art)
-    return NewsPool(articles, version=1, as_of=as_of)
-
-
 def refresh(
     pool: NewsPool,
     add: Iterable[Article] = (),
@@ -212,6 +162,7 @@ def refresh(
         surviving + added,
         version=pool.version + 1,
         as_of=pool.as_of if as_of is None else as_of,
+        layer_sizes=pool.layer_sizes,
     )
 
 
@@ -228,44 +179,56 @@ def temporal_split(corpus: Iterable[Article], cutoff: float) -> tuple[list[Artic
 #
 # Snapshot file = one meta line ({"snapshot_meta": {...}}) followed by
 # plain article JSONL. A file without a meta line (raw article JSONL)
-# loads as version 1, so ingest output and snapshots share one reader.
+# loads as version 1 with the configured layer sizes, so raw article
+# files and snapshots share one reader.
 
 
 def save_snapshot(pool: NewsPool, path):
-    with open(path, "w", encoding="utf-8") as f:
-        meta = {_SNAPSHOT_META_KEY: {"version": pool.version, "as_of": pool.as_of}}
-        f.write(json.dumps(meta) + "\n")
-        for a in pool.articles:
-            f.write(json.dumps(a.to_record()) + "\n")
+    meta = {"version": pool.version, "as_of": pool.as_of, "layer_sizes": list(pool.layer_sizes)}
+    write_jsonl(path, chain([{_SNAPSHOT_META_KEY: meta}], (a.to_record() for a in pool.articles)))
 
 
 def load_snapshot(path, layer_sizes=DEFAULT_LAYER_SIZES) -> NewsPool:
-    version, as_of = 1, 0.0
-    articles = []
+    """Read a snapshot or raw article JSONL. The meta line's layer sizes,
+    when it stores them, take precedence over `layer_sizes`.
+
+    Rejects malformed records, out-of-range SIDs and duplicate ids with
+    the offending line number.
+    """
+    meta = {"version": 1, "as_of": 0.0, "layer_sizes": tuple(layer_sizes)}
+    articles: list[Article] = []
+
+    def parse(rec) -> Article | None:
+        if _SNAPSHOT_META_KEY in rec and not articles:
+            got = rec[_SNAPSHOT_META_KEY]
+            sizes = tuple(int(k) for k in got.get("layer_sizes", meta["layer_sizes"]))
+            if len(sizes) != 4 or min(sizes) < 1:
+                raise RecordParseError(f"layer_sizes must be 4 positive integers, got {list(sizes)}")
+            meta.update(version=int(got.get("version", 1)),
+                        as_of=float(got.get("as_of", 0.0)), layer_sizes=sizes)
+            return None
+        published_at = float(rec["published_at"])
+        if published_at <= 0:
+            raise RecordParseError("published_at must be > 0")
+        return Article(
+            id=str(rec["id"]),
+            title=str(rec.get("title", "")),
+            category=str(rec.get("category", "")),
+            tags=tuple(str(t) for t in rec.get("tags", ())),
+            published_at=published_at,
+            sid=validate_sid(rec["sid"], meta["layer_sizes"]),
+        )
+
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise RecordParseError(f"bad JSON: {e.msg}", line=lineno) from e
-            if lineno == 1 and _SNAPSHOT_META_KEY in rec:
-                meta = rec[_SNAPSHOT_META_KEY]
-                version = int(meta.get("version", 1))
-                as_of = float(meta.get("as_of", 0.0))
-                continue
-            art = article_from_record(rec, line=lineno, layer_sizes=layer_sizes)
-            if art.id in seen:
-                raise DuplicateKeyError(f"line {lineno}: duplicate article id {art.id!r}")
-            seen.add(art.id)
-            articles.append(art)
-    return NewsPool(articles, version=version, as_of=as_of)
+    for lineno, art in iter_jsonl(path, parse):
+        if art is None:
+            continue
+        if art.id in seen:
+            raise DuplicateKeyError(f"line {lineno}: duplicate article id {art.id!r}")
+        seen.add(art.id)
+        articles.append(art)
+    return NewsPool(articles, **meta)
 
 
 def write_article_jsonl(articles: Iterable[Article], path):
-    with open(path, "w", encoding="utf-8") as f:
-        for a in articles:
-            f.write(json.dumps(a.to_record()) + "\n")
+    write_jsonl(path, (a.to_record() for a in articles))

@@ -35,7 +35,8 @@ from .evaluation import (
     l2_indicators,
     partial_match_analysis,
 )
-from .matcher import match_count, validate_prefix
+from .codebook import validate_sid
+from .matcher import match_count
 from .padr import DEFAULT_TAU, EMPTY_HISTORY, BehaviorHistory, UserProfile, route
 from .pool import NewsPool, build_index
 
@@ -201,7 +202,8 @@ def run_eval(
     for s in open_samples:
         out = generator.generate(contexts[s.sample_id])
         if out.prefixes:
-            predictions.append(validate_prefix(tuple(out.prefixes[0]), what="generated prefix"))
+            predictions.append(
+                validate_sid(tuple(out.prefixes[0]), pool.layer_sizes[:3], what="generated prefix"))
         else:
             predictions.append(None)
     targets = [s.target_sid for s in open_samples]

@@ -21,7 +21,7 @@ from .dualtrack import (
     SIDCache,
     fast_track,
 )
-from .errors import SidgroundError
+from .errors import InvalidInputError, SidgroundError
 from .padr import (
     DEFAULT_TAU,
     EMPTY_HISTORY,
@@ -50,11 +50,12 @@ class RecommendService:
         cache: SIDCache | None = None,
         click_counts: dict[str, int] | None = None,
     ):
+        self.cache = cache if cache is not None else SIDCache(layer_sizes=pool.layer_sizes)
+        self._check_layer_sizes(pool)
         self._snapshot = (pool, build_index(pool))
         self._swap_lock = threading.Lock()
         self.profiles = profiles
         self.histories = histories or {}
-        self.cache = cache if cache is not None else SIDCache()
         self.metrics = MetricsCollector()
         self.delta = delta
         self.k = k
@@ -68,6 +69,13 @@ class RecommendService:
     def snapshot(self) -> tuple[NewsPool, "object"]:
         return self._snapshot          # tuple read is atomic
 
+    def _check_layer_sizes(self, pool: NewsPool):
+        """Cached prefixes only mean something for the codebook they came from."""
+        if pool.layer_sizes != self.cache.layer_sizes:
+            raise InvalidInputError(
+                f"pool layer sizes {pool.layer_sizes} differ from the cache's "
+                f"{self.cache.layer_sizes}")
+
     def recommend(self, user_id: str, query: str, k: int | None = None):
         profile = self.profiles.get(user_id) or UserProfile(user_id=user_id)
         history = self.histories.get(user_id, EMPTY_HISTORY)
@@ -75,7 +83,7 @@ class RecommendService:
         pool, index = self._snapshot
         response = fast_track(
             context, self.cache, index, pool, profile,
-            delta=self.delta, k=k or self.k, lam=self.lam,
+            delta=self.delta, k=self.k if k is None else k, lam=self.lam,
             schedule_enhance=self.enhance.schedule,
             click_counts=self.click_counts,
         )
@@ -83,11 +91,12 @@ class RecommendService:
         return response
 
     def refresh_pool(self, new_pool: NewsPool):
+        self._check_layer_sizes(new_pool)
         with self._swap_lock:
             old_pool, _ = self._snapshot
             if new_pool.version <= old_pool.version:
                 new_pool = NewsPool(new_pool.articles, version=old_pool.version + 1,
-                                    as_of=new_pool.as_of)
+                                    as_of=new_pool.as_of, layer_sizes=new_pool.layer_sizes)
             self._snapshot = (new_pool, build_index(new_pool))
         return new_pool.version
 
@@ -113,7 +122,15 @@ class _Handler(BaseHTTPRequestHandler):
     def _read_json(self) -> dict:
         length = int(self.headers.get("Content-Length", 0))
         raw = self.rfile.read(length) if length else b"{}"
-        return json.loads(raw.decode("utf-8"))
+        doc = json.loads(raw.decode("utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+        if "k" in doc:
+            try:
+                doc["k"] = int(doc["k"])
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"k must be an integer, got {doc['k']!r}") from e
+        return doc
 
     def do_GET(self):
         if self.path == "/metrics":
@@ -124,7 +141,7 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         try:
             body = self._read_json()
-        except (json.JSONDecodeError, ValueError) as e:
+        except ValueError as e:       # JSONDecodeError is a ValueError
             self._send(400, {"error": f"bad JSON body: {e}"})
             return
         if self.path == "/recommend":
@@ -132,7 +149,7 @@ class _Handler(BaseHTTPRequestHandler):
                 resp = self.service.recommend(
                     user_id=str(body.get("user_id", "")),
                     query=str(body.get("query", "")),
-                    k=int(body["k"]) if "k" in body else None,
+                    k=body.get("k"),
                 )
             except SidgroundError as e:
                 self._send(422, {"error": str(e)})
@@ -140,7 +157,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, resp.to_record())
         elif self.path == "/refresh":
             try:
-                new_pool = load_snapshot(body["path"])
+                new_pool = load_snapshot(body["path"], self.service.snapshot[0].layer_sizes)
                 version = self.service.refresh_pool(new_pool)
             except (KeyError, OSError, SidgroundError) as e:
                 self._send(422, {"error": str(e)})

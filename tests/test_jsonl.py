@@ -1,0 +1,103 @@
+"""Every JSONL loader goes through one reader: bad lines end in a typed
+error that names the 1-based line, never in a bare Python error."""
+
+import json
+
+import pytest
+
+from sidground.cli import dispatch
+from sidground.codebook import load_embedding_corpus
+from sidground.dualtrack import SIDCache
+from sidground.errors import RecordParseError, SidRangeError
+from sidground.evaluation import load_samples
+from sidground.generator import load_replay
+from sidground.padr import load_histories, load_profiles
+from sidground.pool import load_snapshot
+
+
+def article(i, sid=(1, 2, 3, 4)):
+    return {"id": f"n{i}", "title": "t", "category": "c", "tags": [],
+            "published_at": 1000.0, "sid": list(sid)}
+
+
+def history(i, sid=(1, 2, 3, 4)):
+    return {"user_id": f"u{i}",
+            "clicks": [{"article_id": "a", "sid": list(sid), "timestamp": 1.0}]}
+
+
+def sample(i, sid=(1, 2, 3, 4)):
+    return {"sample_id": f"s{i}", "intent": "next_item", "user_id": "u", "query": "q",
+            "target": {"article_id": "a", "sid": list(sid)}, "history_len": 0}
+
+
+def replay(i, sid=(1, 2, 3)):
+    return {"sample_id": f"s{i}", "prefixes": [list(sid)]}
+
+
+def cache_entry(i, sid=(1, 2, 3)):
+    return {"ctx_hash": i, "prefixes": [list(sid)], "reason": "", "ts": 1.0, "ttl_seconds": 10}
+
+
+# name -> (loader, record(i, sid=...), a required field, out-of-range SID, lines before)
+LOADERS = {
+    "raw_articles": (load_snapshot, article, "published_at", (32, 0, 0, 0), []),
+    "snapshot": (load_snapshot, article, "id", (0, 64, 0, 0),
+                 [{"snapshot_meta": {"version": 3, "as_of": 0.0}}]),
+    "profiles": (load_profiles, lambda i: {"user_id": f"u{i}"}, "user_id", None, []),
+    "histories": (load_histories, history, "user_id", (32, 0, 0, 0), []),
+    "samples": (load_samples, sample, "intent", (0, 0, 128, 0), []),
+    "replay": (load_replay, replay, "prefixes", (32, 0, 0), []),
+    "embeddings": (load_embedding_corpus, lambda i: {"id": f"x{i}", "embedding": [1.0, 2.0]},
+                   "embedding", None, []),
+    "cache": (lambda path: SIDCache().load(path), cache_entry, "ts", (0, 64, 0), []),
+}
+
+
+def bad_line(case, name):
+    _, record, field, oor, _ = LOADERS[name]
+    if case == "bad_json":
+        return "{oops"
+    if case == "not_object":
+        return "[1,2]"
+    if case == "missing_field":
+        rec = record(1)
+        del rec[field]
+        return json.dumps(rec)
+    return json.dumps(record(1, sid=oor))
+
+
+CASES = [
+    (name, case)
+    for name in LOADERS
+    for case in ("bad_json", "not_object", "missing_field", "out_of_range_sid")
+    if case != "out_of_range_sid" or LOADERS[name][3] is not None
+]
+
+
+@pytest.mark.parametrize("name,case", CASES)
+def test_bad_line_raises_typed_error_naming_line(tmp_path, name, case):
+    load, record, _, _, before = LOADERS[name]
+    lines = [json.dumps(r) for r in before] + [json.dumps(record(0)), "", bad_line(case, name)]
+    path = tmp_path / "in.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    expected = SidRangeError if case == "out_of_range_sid" else RecordParseError
+    with pytest.raises(expected) as exc:
+        load(path)
+    assert f"line {len(lines)}:" in str(exc.value)
+
+
+@pytest.mark.parametrize("name", list(LOADERS))
+def test_blank_lines_skipped(tmp_path, name):
+    load, record, _, _, before = LOADERS[name]
+    lines = [json.dumps(r) for r in before] + ["", json.dumps(record(0)), "   ", ""]
+    path = tmp_path / "in.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    load(path)
+
+
+def test_cli_non_object_line_exits_2(tmp_path, capsys):
+    path = tmp_path / "pool.jsonl"
+    path.write_text(json.dumps(article(0)) + "\n[1,2]\n")
+    code = dispatch(["pool", "ingest", "--in", str(path), "--out", str(tmp_path / "snap.jsonl")])
+    assert code == 2
+    assert "line 2" in capsys.readouterr().err

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sidground.codebook import SID
+from sidground.codebook import DEFAULT_LAYER_SIZES, SID
 from sidground.errors import InvalidInputError
 from sidground.padr import (
     BehaviorHistory,
@@ -171,7 +171,7 @@ class TestIO:
 
     def test_history_roundtrip(self):
         h = make_history(4)
-        uid, loaded = history_from_record(history_to_record("u9", h))
+        uid, loaded = history_from_record(history_to_record("u9", h), DEFAULT_LAYER_SIZES)
         assert uid == "u9" and loaded == h
 
     def test_invariant_violations(self):

@@ -10,7 +10,6 @@ from sidground.pool import (
     Article,
     NewsPool,
     build_index,
-    ingest,
     load_snapshot,
     refresh,
     save_snapshot,
@@ -35,16 +34,18 @@ def record(i, sid=(0, 0, 0, 0), published=1000.0):
 
 
 class TestIngest:
+    """Raw article JSONL, as `sidground pool ingest` reads it with load_snapshot."""
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "a.jsonl"
         p.write_text("")
-        pool = ingest(p)
+        pool = load_snapshot(p)
         assert len(pool) == 0 and pool.version == 1
 
     def test_basic(self, tmp_path):
         p = tmp_path / "a.jsonl"
         write_jsonl(p, [record(0), record(1, sid=(31, 63, 127, 1023))])
-        pool = ingest(p)
+        pool = load_snapshot(p)
         assert len(pool) == 2
         assert pool.by_id["n1"].sid == SID(31, 63, 127, 1023)
 
@@ -52,20 +53,20 @@ class TestIngest:
         p = tmp_path / "a.jsonl"
         write_jsonl(p, [record(0), record(1, sid=(32, 0, 0, 0))])
         with pytest.raises(SidRangeError) as exc:
-            ingest(p)
+            load_snapshot(p)
         assert "s1" in str(exc.value) and "line 2" in str(exc.value)
 
     def test_duplicate_id(self, tmp_path):
         p = tmp_path / "a.jsonl"
         write_jsonl(p, [record(0), record(0)])
         with pytest.raises(DuplicateKeyError):
-            ingest(p)
+            load_snapshot(p)
 
     def test_malformed_line_number(self, tmp_path):
         p = tmp_path / "a.jsonl"
         p.write_text(json.dumps(record(0)) + "\n{oops\n")
         with pytest.raises(RecordParseError) as exc:
-            ingest(p)
+            load_snapshot(p)
         assert "line 2" in str(exc.value)
 
 

@@ -112,3 +112,50 @@ class TestHttp:
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(base + "/nothing")
         assert exc.value.code == 404
+
+
+class TestHttpBadInput:
+    """Bad request bodies get a 4xx reply, never a dropped connection or
+    a quietly wrong answer."""
+
+    def status(self, base, data: bytes) -> int:
+        req = urllib.request.Request(base + "/recommend", data=data,
+                                     headers={"Content-Type": "application/json"})
+        try:
+            with urllib.request.urlopen(req) as resp:
+                return resp.status
+        except urllib.error.HTTPError as e:
+            return e.code
+
+    @pytest.mark.parametrize("body", [b"[1, 2]", b'"text"', b"3"])
+    def test_non_object_body_is_400(self, http_server, body):
+        base, _ = http_server
+        assert self.status(base, body) == 400
+
+    @pytest.mark.parametrize("k", ["abc", None, [5]])
+    def test_non_integer_k_is_400(self, http_server, std_fixture, k):
+        base, _ = http_server
+        uid = next(iter(std_fixture.profiles))
+        body = json.dumps({"user_id": uid, "query": "q", "k": k}).encode()
+        assert self.status(base, body) == 400
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_is_4xx(self, http_server, std_fixture, k):
+        base, _ = http_server
+        uid = next(iter(std_fixture.profiles))
+        body = json.dumps({"user_id": uid, "query": "never cached", "k": k}).encode()
+        assert 400 <= self.status(base, body) < 500
+
+    def test_k_below_one_raises_invalid_input(self, service, std_fixture):
+        from sidground.errors import InvalidInputError
+        uid = next(iter(std_fixture.profiles))
+        with pytest.raises(InvalidInputError):
+            service.recommend(uid, "q", k=0)
+
+    def test_server_keeps_serving_after_bad_bodies(self, http_server, std_fixture):
+        base, _ = http_server
+        for body in (b"[1]", b'{"k": "x"}', b'{"k": -3}'):
+            self.status(base, body)
+        uid = next(iter(std_fixture.profiles))
+        doc = post(base + "/recommend", {"user_id": uid, "query": "q", "k": 3})
+        assert len(doc["articles"]) == 3
