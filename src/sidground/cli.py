@@ -9,8 +9,12 @@
     sidground serve ... | bench ...
     sidground eval run|fixture ...
 
-Exit codes: 0 success, 1 usage error, 2 data error. Config precedence:
-flag > SIDGROUND_* env (port, data dir, seed) > --config file > default.
+Exit codes: 0 success, 1 usage error, 2 data error. Every setting takes
+one path: dispatch hands the flags that name Config fields (--ttl sets
+ttl_seconds, --layers layer_sizes, --lambda lam) to resolve_config, which
+applies flag > SIDGROUND_* env (port, data dir, seed) > --config file >
+default and type-checks the result; commands read settings only from the
+Config they are given.
 """
 
 from __future__ import annotations
@@ -21,25 +25,31 @@ import json
 import logging
 import re
 import sys
+from dataclasses import fields
+from dataclasses import replace as dc_replace
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import codebook as cb
 from . import pool as poolmod
-from .config import parse_layer_sizes, resolve_config
-from .dualtrack import SIDCache, run_benchmark, warm_cache
-from .errors import SidgroundError
+from .config import Config, parse_int_list, resolve_config
+from .dualtrack import SIDCache, enhance_track, run_benchmark, warm_cache
+from .errors import InvalidInputError, RecordParseError, SidgroundError
 from .evaluation import load_samples
 from .fixture import FixtureSpec, make_synthetic_fixture, write_fixture
 from .generator import from_spec as generator_from_spec
 from .generator import PoolSampledGenerator
-from .jsonl import write_jsonl
+from .jsonl import read_json, write_jsonl
 from .matcher import fuzzy_match, grid_search_delta
 from .padr import (
     EMPTY_HISTORY,
+    Demographics,
+    UserProfile,
+    history_from_record,
     load_histories,
     load_profiles,
+    profile_from_record,
     route,
 )
 from .pool import NewsPool, build_index, load_snapshot, save_snapshot, write_article_jsonl
@@ -49,16 +59,13 @@ from .server import RecommendService, serve_forever
 
 logger = logging.getLogger(__name__)
 
-_COMMANDS = ("codebook", "pool", "match", "padr", "gen", "rank", "serve", "bench", "eval")
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse with exit code 1 on usage errors and typo suggestions."""
 
     def error(self, message):
         m = re.search(r"invalid choice: '([^']+)'", message)
         if m:
-            close = difflib.get_close_matches(m.group(1), _COMMANDS, n=2)
+            close = difflib.get_close_matches(m.group(1), _HANDLERS, n=2)
             if close:
                 message += f" (did you mean: {', '.join(close)}?)"
         self.print_usage(sys.stderr)
@@ -68,10 +75,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_prefix(text: str, pool: NewsPool):
     """--prefix s1,s2,s3, range-checked against the snapshot's layer sizes."""
-    try:
-        values = tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError as e:
-        raise SidgroundError(f"--prefix expects s1,s2,s3, got {text!r}") from e
+    values = parse_int_list(text, "--prefix")
     return cb.validate_sid(values, pool.layer_sizes[:3], what="--prefix")
 
 
@@ -80,7 +84,11 @@ def _parse_cutoff(text: str) -> float:
         return float(text)
     except ValueError:
         pass
-    dt = datetime.fromisoformat(text)
+    try:
+        dt = datetime.fromisoformat(text)
+    except ValueError as e:
+        raise InvalidInputError(
+            f"--cutoff expects an ISO 8601 time or epoch seconds, got {text!r}") from e
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return dt.timestamp()
@@ -102,7 +110,8 @@ def build_parser() -> _Parser:
     cb_sub = p_cb.add_subparsers(dest="subcommand", metavar="subcommand")
     p = cb_sub.add_parser("train", help="train a residual k-means codebook")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--layers", default=None, help="K1,K2,K3,K4 (default 32,64,128,1024)")
+    p.add_argument("--layers", dest="layer_sizes", default=None,
+                   help="K1,K2,K3,K4 (default: the configured layer_sizes)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-iters", type=int, default=25)
     p.add_argument("--out", required=True)
@@ -180,7 +189,7 @@ def build_parser() -> _Parser:
     p.add_argument("--generator", required=True)
     p.add_argument("--port", type=int, default=None)
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--ttl", type=int, default=None)
+    p.add_argument("--ttl", dest="ttl_seconds", type=int, default=None)
     p.add_argument("--warm", action="store_true", help="warm the cache from preset queries")
 
     # bench
@@ -220,9 +229,7 @@ def _require_sub(args, parser) -> None:
 def _cmd_codebook(args, cfg) -> int:
     if args.subcommand == "train":
         _, corpus = cb.load_embedding_corpus(args.corpus)
-        layers = parse_layer_sizes(args.layers) if args.layers else cfg.layer_sizes
-        seed = args.seed if args.seed is not None else cfg.seed
-        book = cb.train_codebook(corpus, layer_sizes=layers, seed=seed,
+        book = cb.train_codebook(corpus, layer_sizes=cfg.layer_sizes, seed=cfg.seed,
                                  max_iters=args.max_iters)
         cb.save_codebook(book, args.out)
         _emit({"out": args.out, "dim": book.dim, "layer_sizes": list(book.layer_sizes),
@@ -280,15 +287,12 @@ def _cmd_match(args, cfg) -> int:
     index = build_index(pool)
     prefix = _parse_prefix(args.prefix, pool)
     if args.deltas:
-        deltas = [int(d) for d in args.deltas.split(",") if d.strip()]
-        rows = grid_search_delta([prefix], deltas, index)
+        rows = grid_search_delta([prefix], parse_int_list(args.deltas, "--deltas"), index)
         _emit({"prefix": list(prefix), "grid": rows})
         return 0
-    delta = args.delta if args.delta is not None else cfg.delta
-    k = args.k if args.k is not None else cfg.k
-    results = fuzzy_match(prefix, index, delta=delta, k=k)
+    results = fuzzy_match(prefix, index, delta=cfg.delta, k=cfg.k)
     _emit({
-        "prefix": list(prefix), "delta": delta, "k": k,
+        "prefix": list(prefix), "delta": cfg.delta, "k": cfg.k,
         "results": [
             {"article_id": r.article_id, "score": r.score, "s3_distance": r.s3_distance}
             for r in results
@@ -312,34 +316,31 @@ def _cmd_padr(args, cfg) -> int:
     profile = _pick_profile(profiles, args.user_id)
     histories = load_histories(args.history, cfg.layer_sizes) if args.history else {}
     history = histories.get(profile.user_id, EMPTY_HISTORY)
-    tau = args.tau if args.tau is not None else cfg.tau
-    ctx = route(profile, history, args.query, tau=tau)
+    ctx = route(profile, history, args.query, tau=cfg.tau)
     _emit({"path": ctx.path, "indicator": ctx.indicator, "rendered": ctx.rendered})
     return 0
 
 
-def _cmd_gen(args, cfg) -> int:
-    with open(args.context, encoding="utf-8") as f:
-        req = json.load(f)
-    from .padr import history_from_record, profile_from_record
-    from dataclasses import replace as dc_replace
-
-    profile = profile_from_record(req["profile"]) if req.get("profile") else None
-    if profile is None:
-        raise SidgroundError("context file needs a 'profile' object")
-    training_pool = load_snapshot(args.pool, layer_sizes=cfg.layer_sizes) if args.pool else None
-    sizes = training_pool.layer_sizes if training_pool else cfg.layer_sizes
+def _context_from_record(req: dict, layer_sizes, tau: int):
+    """The routed context a `gen run --context` file describes."""
+    if not req.get("profile"):
+        raise RecordParseError("context file needs a 'profile' object")
+    profile = profile_from_record(req["profile"])
     _, history = history_from_record(
-        {"user_id": profile.user_id, "clicks": req.get("clicks", [])}, sizes
+        {"user_id": profile.user_id, "clicks": req.get("clicks", [])}, layer_sizes
     )
-    tau = int(req.get("tau", cfg.tau))
-    ctx = route(profile, history, str(req.get("query", "")), tau=tau)
+    ctx = route(profile, history, str(req.get("query", "")), tau=int(req.get("tau", tau)))
     if req.get("sample_id") is not None:
         ctx = dc_replace(ctx, sample_id=str(req["sample_id"]))
-    seed = args.seed if args.seed is not None else cfg.seed
-    k = args.k if args.k is not None else cfg.k
-    gen = generator_from_spec(args.generator, training_pool=training_pool, seed=seed,
-                              k=k, layer_sizes=sizes)
+    return ctx
+
+
+def _cmd_gen(args, cfg) -> int:
+    training_pool = load_snapshot(args.pool, layer_sizes=cfg.layer_sizes) if args.pool else None
+    sizes = training_pool.layer_sizes if training_pool else cfg.layer_sizes
+    ctx = read_json(args.context, lambda req: _context_from_record(req, sizes, cfg.tau))
+    gen = generator_from_spec(args.generator, training_pool=training_pool, seed=cfg.seed,
+                              k=cfg.k, layer_sizes=sizes)
     out = gen.generate(ctx)
     _emit({
         "path": ctx.path,
@@ -355,14 +356,11 @@ def _cmd_rank(args, cfg) -> int:
     profiles = load_profiles(args.profile)
     profile = _pick_profile(profiles, args.user_id)
     prefix = _parse_prefix(args.prefix, pool)
-    delta = args.delta if args.delta is not None else cfg.delta
-    k = args.k if args.k is not None else cfg.k
-    lam = args.lam if args.lam is not None else cfg.lam
-    now = args.now if args.now is not None else (pool.as_of or None)
-    matches = fuzzy_match(prefix, index, delta=delta, k=k)
-    ranked = rank_candidates(matches, pool, profile, now=now or 0.0, lam=lam)
+    now = args.now if args.now is not None else pool.as_of
+    matches = fuzzy_match(prefix, index, delta=cfg.delta, k=cfg.k)
+    ranked = rank_candidates(matches, pool, profile, now=now, lam=cfg.lam)
     _emit({
-        "prefix": list(prefix), "delta": delta, "lambda": lam,
+        "prefix": list(prefix), "delta": cfg.delta, "lambda": cfg.lam,
         "results": [
             {
                 "article_id": r.article_id,
@@ -385,27 +383,22 @@ def _cmd_serve(args, cfg) -> int:
     histories = load_histories(args.histories, pool.layer_sizes) if args.histories else {}
     generator = generator_from_spec(args.generator, training_pool=pool, seed=cfg.seed,
                                     k=cfg.k, layer_sizes=pool.layer_sizes)
-    ttl = args.ttl if args.ttl is not None else cfg.ttl_seconds
-    port = args.port if args.port is not None else cfg.port
     service = RecommendService(
         pool, profiles, generator, histories=histories,
-        delta=cfg.delta, k=cfg.k, lam=cfg.lam, tau=cfg.tau, ttl_seconds=ttl,
+        delta=cfg.delta, k=cfg.k, lam=cfg.lam, tau=cfg.tau, ttl_seconds=cfg.ttl_seconds,
     )
     if args.warm:
         n = warm_cache(profiles.values(), generator, service.cache, tau=cfg.tau,
-                       ttl_seconds=ttl)
+                       ttl_seconds=cfg.ttl_seconds)
         logger.info("warmed %d cache entries", n)
-    serve_forever(service, args.host, port)
+    serve_forever(service, args.host, cfg.port)
     return 0
 
 
 def _cmd_bench(args, cfg) -> int:
     pool = load_snapshot(args.pool, layer_sizes=cfg.layer_sizes)
     index = build_index(pool)
-    seed = args.seed if args.seed is not None else cfg.seed
-    rng = np.random.default_rng(seed)
-    from .padr import Demographics, UserProfile
-
+    rng = np.random.default_rng(cfg.seed)
     cats = sorted({a.category for a in pool.articles}) or ["news"]
     contexts = []
     for i in range(args.users):
@@ -418,9 +411,8 @@ def _cmd_bench(args, cfg) -> int:
         contexts.append((route(profile, EMPTY_HISTORY, f"recommend {cat} news", tau=cfg.tau),
                          profile))
     cache = SIDCache(layer_sizes=pool.layer_sizes)
-    gen = PoolSampledGenerator(pool, seed=seed, k=cfg.k)
+    gen = PoolSampledGenerator(pool, seed=cfg.seed, k=cfg.k)
     for ctx, _ in contexts:
-        from .dualtrack import enhance_track
         enhance_track(ctx, gen, cache)
     stats = run_benchmark(contexts, cache, index, pool, requests=args.requests,
                           concurrency=args.concurrency, delta=cfg.delta, k=cfg.k, lam=cfg.lam)
@@ -440,21 +432,23 @@ def _cmd_eval(args, cfg) -> int:
     samples = load_samples(args.samples, pool.layer_sizes)
     profiles = load_profiles(args.profiles) if args.profiles else {}
     histories = load_histories(args.histories, pool.layer_sizes) if args.histories else {}
-    seed = args.seed if args.seed is not None else cfg.seed
-    generator = generator_from_spec(args.generator, training_pool=pool, seed=seed,
+    generator = generator_from_spec(args.generator, training_pool=pool, seed=cfg.seed,
                                     k=cfg.k, layer_sizes=pool.layer_sizes)
     report = run_eval(
         samples, pool, generator, profiles=profiles, histories=histories,
-        tau=args.tau if args.tau is not None else cfg.tau,
-        delta=args.delta if args.delta is not None else cfg.delta,
-        seed=seed,
-        resamples=args.resamples if args.resamples is not None else cfg.resamples,
+        tau=cfg.tau, delta=cfg.delta, seed=cfg.seed, resamples=cfg.resamples,
     )
     if args.out:
         write_report(report, args.out)
     print(report.render_text())
     return 0
 
+
+_HANDLERS = {
+    "codebook": _cmd_codebook, "pool": _cmd_pool, "match": _cmd_match, "padr": _cmd_padr,
+    "gen": _cmd_gen, "rank": _cmd_rank, "serve": _cmd_serve, "bench": _cmd_bench,
+    "eval": _cmd_eval,
+}
 
 _PATH_ATTRS = (
     "corpus", "codebook", "out", "infile", "base", "add", "remove", "index",
@@ -481,39 +475,14 @@ def dispatch(argv) -> int:
         parser.print_help()
         return 0
     try:
-        cfg = resolve_config(flags={}, config_path=args.config)
+        flags = {f.name: getattr(args, f.name, None) for f in fields(Config)}
+        cfg = resolve_config(flags=flags, config_path=args.config)
         _resolve_paths(args, cfg)
-        if args.command == "codebook":
-            _require_sub(args, parser)
-            return _cmd_codebook(args, cfg)
-        if args.command == "pool":
-            _require_sub(args, parser)
-            return _cmd_pool(args, cfg)
-        if args.command == "match":
-            return _cmd_match(args, cfg)
-        if args.command == "padr":
-            _require_sub(args, parser)
-            return _cmd_padr(args, cfg)
-        if args.command == "gen":
-            _require_sub(args, parser)
-            return _cmd_gen(args, cfg)
-        if args.command == "rank":
-            return _cmd_rank(args, cfg)
-        if args.command == "serve":
-            return _cmd_serve(args, cfg)
-        if args.command == "bench":
-            return _cmd_bench(args, cfg)
-        if args.command == "eval":
-            _require_sub(args, parser)
-            return _cmd_eval(args, cfg)
-        parser.error(f"unknown command {args.command!r}")
-    except SidgroundError as e:
+        _require_sub(args, parser)
+        return _HANDLERS[args.command](args, cfg)
+    except (SidgroundError, OSError) as e:
         print(f"sidground: error: {e}", file=sys.stderr)
         return 2
-    except OSError as e:
-        print(f"sidground: error: {e}", file=sys.stderr)
-        return 2
-    return 0
 
 
 def main():

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError, RecordParseError, SidRangeError
-from .jsonl import iter_jsonl
+from .jsonl import iter_jsonl, read_json
 
 DEFAULT_LAYER_SIZES = (32, 64, 128, 1024)
 
@@ -305,11 +305,10 @@ def save_codebook(codebook: Codebook, path):
 
 def load_codebook(path) -> Codebook:
     """Load a codebook, rejecting format, dimension, or shape mismatches."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise RecordParseError(f"not a codebook file: {e}") from e
+    return read_json(path, _codebook_from_record)
+
+
+def _codebook_from_record(doc: dict) -> Codebook:
     if doc.get("format") != _CODEBOOK_FORMAT:
         raise RecordParseError(f"unrecognized codebook format {doc.get('format')!r}")
     if doc.get("format_version") != _CODEBOOK_FORMAT_VERSION:

@@ -2,20 +2,22 @@
 
 Precedence per knob: command-line flag > SIDGROUND_* environment
 variable (port, data dir, seed only) > config file > built-in default.
+Every value, whichever layer it comes from, passes check_fields, so a
+wrongly typed one is an InvalidInputError naming its key.
 The built-in defaults are the operating points the system was tuned to:
 delta=5, k=10, tau=10, lambda=0.1, ttl=86400s, layers 32/64/128/1024.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
-from .errors import InvalidInputError, RecordParseError
+from .errors import InvalidInputError
+from .jsonl import read_json
 
 ENV_PREFIX = "SIDGROUND_"
-_ENV_KEYS = {"port": int, "data_dir": str, "seed": int}
+_ENV_KEYS = ("port", "data_dir", "seed")
 
 
 @dataclass
@@ -49,48 +51,83 @@ class Config:
         return os.path.join(self.data_dir, path)
 
 
-def load_config_file(path) -> dict:
-    with open(path, encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise RecordParseError(f"bad config JSON: {e}") from e
-    known = {f.name for f in fields(Config)}
-    unknown = set(doc) - known
+def parse_int_list(text: str, what: str) -> tuple[int, ...]:
+    """Parse a comma list of integers ("1,2,3"); blank items are skipped."""
+    try:
+        return tuple(int(p) for p in text.split(",") if p.strip())
+    except ValueError as e:
+        raise InvalidInputError(f"{what} expects comma-separated integers, got {text!r}") from e
+
+
+def _is_a(value, kind) -> bool:
+    return type(value) is kind or (kind is float and type(value) is int)   # no bools
+
+
+def _typed(value, default, text: bool):
+    """`value` checked against the type of the field's default, or ValueError."""
+    kind = type(default)
+    if text and isinstance(value, str) and kind in (int, float, tuple):
+        value = parse_int_list(value, "value") if kind is tuple else kind(value)
+    if (kind is tuple and isinstance(value, (list, tuple)) and len(value) == len(default)
+            and all(_is_a(v, int) for v in value)):
+        return tuple(value)
+    if kind is dict and isinstance(value, dict) and all(_is_a(v, float) for v in value.values()):
+        return value
+    if kind not in (tuple, dict) and _is_a(value, kind):
+        return value
+    raise ValueError(value)
+
+
+def _kind_name(default) -> str:
+    if isinstance(default, tuple):
+        return f"a list of {len(default)} integers"
+    return {bool: "true or false", int: "an integer", float: "a number",
+            str: "a string", dict: "an object of numbers"}[type(default)]
+
+
+def check_fields(cls, doc: dict, source: str, error=InvalidInputError,
+                 text: bool = False) -> dict:
+    """Check every value of `doc` against the type of the default of the
+    dataclass field it names (an int field takes no bool and no 2.7; a
+    tuple field takes a list of as many integers).
+
+    With text=True a string for a number or tuple field is parsed first
+    (environment variables, comma lists on the command line). An unknown
+    key or a wrongly typed value raises `error` naming the key and
+    `source`. Returns the checked values, tuple fields as tuples.
+    """
+    defaults = {f.name: f.default_factory() if f.default is MISSING else f.default
+                for f in fields(cls)}
+    unknown = set(doc) - set(defaults)
     if unknown:
-        raise RecordParseError(f"unknown config keys: {sorted(unknown)}")
-    return doc
+        raise error(f"unknown {source} keys: {sorted(unknown)}")
+    checked = {}
+    for key, value in doc.items():
+        try:
+            checked[key] = _typed(value, defaults[key], text)
+        except (ValueError, InvalidInputError):
+            raise error(f"{key} from the {source} must be {_kind_name(defaults[key])}, "
+                        f"got {value!r}") from None
+    return checked
+
+
+def load_config_file(path) -> dict:
+    return read_json(path, lambda doc: check_fields(Config, doc, "config file"))
 
 
 def resolve_config(flags: dict | None = None, config_path=None,
                    env: dict | None = None) -> Config:
     """Merge flag/env/file/default layers into one validated Config.
 
-    `flags` holds only explicitly set values (None means unset).
+    `flags` maps Config field names to flag values (None means unset).
     """
     env = os.environ if env is None else env
-    merged: dict = {}
-    if config_path:
-        merged.update(load_config_file(config_path))
-    for key, cast in _ENV_KEYS.items():
-        raw = env.get(ENV_PREFIX + key.upper())
-        if raw is not None:
-            try:
-                merged[key] = cast(raw)
-            except ValueError as e:
-                raise InvalidInputError(f"bad {ENV_PREFIX}{key.upper()}: {raw!r}") from e
-    for key, value in (flags or {}).items():
-        if value is not None:
-            merged[key] = value
-    if "layer_sizes" in merged:
-        merged["layer_sizes"] = tuple(int(s) for s in merged["layer_sizes"])
+    merged = load_config_file(config_path) if config_path else {}
+    env_values = {key: env[ENV_PREFIX + key.upper()] for key in _ENV_KEYS
+                  if ENV_PREFIX + key.upper() in env}
+    merged.update(check_fields(Config, env_values, "environment", text=True))
+    set_flags = {key: value for key, value in (flags or {}).items() if value is not None}
+    merged.update(check_fields(Config, set_flags, "command line", text=True))
     cfg = Config(**merged)
     cfg.validate()
     return cfg
-
-
-def parse_layer_sizes(text: str) -> tuple[int, int, int, int]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != 4:
-        raise InvalidInputError(f"expected 4 comma-separated layer sizes, got {text!r}")
-    return tuple(int(p) for p in parts)  # type: ignore[return-value]

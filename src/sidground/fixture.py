@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .codebook import SID
+from .config import check_fields
 from .errors import FixtureSpecError
 from .evaluation import (
     INTENT_CANDIDATE_SELECTION,
@@ -36,11 +37,12 @@ from .evaluation import (
     INTENT_FEEDBACK,
     INTENT_NEXT_ITEM,
     INTENT_PURE_COLDSTART,
+    INTENTS,
     EvalSample,
     write_samples,
 )
 from .hashing import derive_seed
-from .jsonl import write_jsonl
+from .jsonl import read_json, write_jsonl
 from .padr import (
     BehaviorHistory,
     Click,
@@ -119,14 +121,8 @@ class FixtureSpec:
 
     @classmethod
     def from_file(cls, path) -> "FixtureSpec":
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise FixtureSpecError(f"unknown fixture spec fields: {sorted(unknown)}")
-        spec = cls(**doc)
-        spec.layer_sizes = tuple(spec.layer_sizes)  # type: ignore[assignment]
+        spec = read_json(path, lambda doc: cls(**check_fields(
+            cls, doc, "fixture spec", FixtureSpecError)))
         spec.validate()
         return spec
 
@@ -305,16 +301,6 @@ def _intent_counts(spec: FixtureSpec) -> dict[str, int]:
     return counts
 
 
-INTENTS_ORDER = (
-    INTENT_CANDIDATE_SELECTION,
-    INTENT_NEXT_ITEM,
-    INTENT_DIVERSITY,
-    INTENT_FEEDBACK,
-    INTENT_COLDSTART_PADR,
-    INTENT_PURE_COLDSTART,
-)
-
-
 def _make_samples(
     spec: FixtureSpec,
     articles: list[Article],
@@ -338,7 +324,7 @@ def _make_samples(
     counts = _intent_counts(spec)
     samples: list[EvalSample] = []
     idx = 0
-    for intent in INTENTS_ORDER:
+    for intent in INTENTS:
         count = counts.get(intent, 0)
         users = eligible[intent]
         if count == 0 or not users:

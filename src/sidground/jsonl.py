@@ -1,9 +1,9 @@
-"""JSONL record files: the one reader every loader goes through, and a writer.
+"""JSON record files: one reader for JSONL, one for single-document JSON
+(config, fixture spec, codebook, generator context), and a JSONL writer.
 
-A record file holds one JSON object per line. iter_jsonl parses each
-non-blank line, hands the object to the loader's record parser, and
-makes every failure name its 1-based line, so a bad file always ends in
-a typed SidgroundError (CLI exit code 2), never a bare Python error.
+Both readers hand each object to the caller's record parser and make
+every failure a typed SidgroundError (CLI exit code 2) that names the
+1-based line or the document's path, never a bare Python error.
 """
 
 from __future__ import annotations
@@ -16,14 +16,25 @@ from .errors import RecordParseError, SidgroundError
 T = TypeVar("T")
 
 
-def iter_jsonl(path, parse: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
-    """Yield (line number, parse(record)) for each non-blank line.
+def _parse_object(rec, parse: Callable[[dict], T], where: str) -> T:
+    """parse(rec), where a non-object, a missing field (KeyError) or a value
+    of the wrong type or form raises RecordParseError, and a SidgroundError
+    from `parse` keeps its type; each gains a "<where>: " prefix."""
+    if not isinstance(rec, dict):
+        raise RecordParseError(f"{where}: expected a JSON object, got {type(rec).__name__}")
+    try:
+        return parse(rec)
+    except SidgroundError as e:
+        raise type(e)(f"{where}: {e}") from e
+    except KeyError as e:
+        raise RecordParseError(f"{where}: missing field {e.args[0]!r}") from e
+    except (AttributeError, TypeError, ValueError) as e:
+        raise RecordParseError(f"{where}: bad record: {e}") from e
 
-    Bad JSON and a line that is not a JSON object raise RecordParseError.
-    A SidgroundError raised by `parse` keeps its type and gains a
-    "line N: " prefix; a missing field (KeyError) or a value of the wrong
-    type or form becomes a RecordParseError.
-    """
+
+def iter_jsonl(path, parse: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
+    """Yield (line number, parse(record)) for each non-blank line; errors
+    as in _parse_object with "line N", bad JSON a RecordParseError."""
     with open(path, encoding="utf-8") as f:
         for lineno, text in enumerate(f, start=1):
             if text.isspace():
@@ -32,22 +43,18 @@ def iter_jsonl(path, parse: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
                 rec = json.loads(text)
             except json.JSONDecodeError as e:
                 raise RecordParseError(f"bad JSON: {e.msg}", line=lineno) from e
-            if not isinstance(rec, dict):
-                raise RecordParseError(
-                    f"expected a JSON object, got {type(rec).__name__}", line=lineno)
-            try:
-                item = parse(rec)
-            except RecordParseError as e:
-                if e.line is not None:
-                    raise
-                raise RecordParseError(str(e), line=lineno) from e
-            except SidgroundError as e:
-                raise type(e)(f"line {lineno}: {e}") from e
-            except KeyError as e:
-                raise RecordParseError(f"missing field {e.args[0]!r}", line=lineno) from e
-            except (AttributeError, TypeError, ValueError) as e:
-                raise RecordParseError(f"bad record: {e}", line=lineno) from e
-            yield lineno, item
+            yield lineno, _parse_object(rec, parse, f"line {lineno}")
+
+
+def read_json(path, parse: Callable[[dict], T]) -> T:
+    """parse(the JSON object a one-document file holds); errors as in
+    _parse_object with the path, bad JSON a RecordParseError."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as e:
+            raise RecordParseError(f"{path}: bad JSON: {e}") from e
+    return _parse_object(doc, parse, str(path))
 
 
 def write_jsonl(path, records: Iterable[dict]):

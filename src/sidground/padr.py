@@ -208,28 +208,25 @@ def preset_queries(profile: UserProfile, tau: int = DEFAULT_TAU) -> list[UserCon
 
 
 def profile_from_record(rec: dict) -> UserProfile:
-    try:
-        demo = rec.get("demographics", {})
-        activity = rec.get("activity", {})
-        fmt = rec.get("format_affinity", {})
-        return UserProfile(
-            user_id=str(rec["user_id"]),
-            demographics=Demographics(
-                age_range=str(demo.get("age_range", "")),
-                gender=str(demo.get("gender", "")),
-                location=str(demo.get("location", "")),
-            ),
-            declared_interests=tuple(rec.get("declared_interests", ())),
-            longterm_prefs_30d=tuple((str(c), float(w)) for c, w in rec.get("longterm_prefs_30d", ())),
-            longterm_prefs_7d=tuple((str(c), float(w)) for c, w in rec.get("longterm_prefs_7d", ())),
-            active_hours=tuple(int(h) for h in activity.get("active_hours", ())),
-            daily_duration_minutes=float(activity.get("daily_duration_minutes", 0.0)),
-            engagement_level=str(activity.get("engagement_level", "")),
-            video_affinity=float(fmt.get("video", 0.0)),
-            text_affinity=float(fmt.get("text", 0.0)),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise RecordParseError(f"bad profile record: {e}") from e
+    demo = rec.get("demographics", {})
+    activity = rec.get("activity", {})
+    fmt = rec.get("format_affinity", {})
+    return UserProfile(
+        user_id=str(rec["user_id"]),
+        demographics=Demographics(
+            age_range=str(demo.get("age_range", "")),
+            gender=str(demo.get("gender", "")),
+            location=str(demo.get("location", "")),
+        ),
+        declared_interests=tuple(rec.get("declared_interests", ())),
+        longterm_prefs_30d=tuple((str(c), float(w)) for c, w in rec.get("longterm_prefs_30d", ())),
+        longterm_prefs_7d=tuple((str(c), float(w)) for c, w in rec.get("longterm_prefs_7d", ())),
+        active_hours=tuple(int(h) for h in activity.get("active_hours", ())),
+        daily_duration_minutes=float(activity.get("daily_duration_minutes", 0.0)),
+        engagement_level=str(activity.get("engagement_level", "")),
+        video_affinity=float(fmt.get("video", 0.0)),
+        text_affinity=float(fmt.get("text", 0.0)),
+    )
 
 
 def profile_to_record(p: UserProfile) -> dict:
@@ -254,21 +251,18 @@ def profile_to_record(p: UserProfile) -> dict:
 
 def history_from_record(rec: dict, layer_sizes) -> tuple[str, BehaviorHistory]:
     """Parse a history record; click SIDs are range-checked against layer_sizes."""
-    try:
-        clicks = tuple(
-            Click(
-                article_id=str(c["article_id"]),
-                sid=validate_sid(c["sid"], layer_sizes, what="click sid"),
-                timestamp=float(c["timestamp"]),
-                dwell_seconds=float(c.get("dwell_seconds", 0.0)),
-                title=str(c.get("title", "")),
-                category=str(c.get("category", "")),
-            )
-            for c in rec.get("clicks", ())
+    clicks = tuple(
+        Click(
+            article_id=str(c["article_id"]),
+            sid=validate_sid(c["sid"], layer_sizes, what="click sid"),
+            timestamp=float(c["timestamp"]),
+            dwell_seconds=float(c.get("dwell_seconds", 0.0)),
+            title=str(c.get("title", "")),
+            category=str(c.get("category", "")),
         )
-        return str(rec["user_id"]), BehaviorHistory(clicks=clicks)
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise RecordParseError(f"bad history record: {e}") from e
+        for c in rec.get("clicks", ())
+    )
+    return str(rec["user_id"]), BehaviorHistory(clicks=clicks)
 
 
 def history_to_record(user_id: str, h: BehaviorHistory) -> dict:

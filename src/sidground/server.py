@@ -157,7 +157,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, resp.to_record())
         elif self.path == "/refresh":
             try:
-                new_pool = load_snapshot(body["path"], self.service.snapshot[0].layer_sizes)
+                path = body["path"]
+                if not isinstance(path, str):   # open() would take an int as a descriptor
+                    raise InvalidInputError(f"path must be a string, got {path!r}")
+                new_pool = load_snapshot(path, self.service.snapshot[0].layer_sizes)
                 version = self.service.refresh_pool(new_pool)
             except (KeyError, OSError, SidgroundError) as e:
                 self._send(422, {"error": str(e)})

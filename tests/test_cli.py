@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -88,6 +89,73 @@ class TestConfig:
         monkeypatch.setenv("SIDGROUND_DATA_DIR", str(fixture_dir))
         doc = run_json(capsys, "match", "--index", "pool.jsonl", "--prefix", "1,1,1")
         assert "results" in doc
+
+
+# Each bad input: the content of the file "{doc}" (None: no file), the argv
+# ("{fx}" is the fixture directory, "{tmp}" a scratch directory) and a
+# phrase the error line must hold.
+_CONFIG_MATCH = ["--config", "{doc}", "match", "--index", "{fx}/pool.jsonl", "--prefix", "1,1,1"]
+_GEN = ["gen", "run", "--generator", "random", "--context", "{doc}"]
+_SPEC = ["eval", "fixture", "--spec", "{doc}", "--out", "{tmp}/out"]
+_ASSIGN = ["codebook", "assign", "--codebook", "{doc}", "--corpus", "{fx}/embeddings.jsonl",
+           "--out", "{tmp}/sids.jsonl"]
+BAD_INPUTS = {
+    "gen_context_bad_json": ("{nope", _GEN, "bad JSON"),
+    "gen_context_not_object": ("[1,2]", _GEN, "expected a JSON object"),
+    "spec_bad_json": ("{nope", _SPEC, "bad JSON"),
+    "spec_string_int": ('{"n_articles": "x"}', _SPEC, "n_articles"),
+    "spec_short_layer_sizes": ('{"layer_sizes": [1,2]}', _SPEC, "layer_sizes"),
+    "spec_not_object": ("[1,2]", _SPEC, "expected a JSON object"),
+    "split_bad_cutoff": (None, ["pool", "split", "--in", "{fx}/pool.jsonl",
+                                "--cutoff", "notadate", "--train-out", "{tmp}/a.jsonl",
+                                "--test-out", "{tmp}/b.jsonl"], "--cutoff"),
+    "match_bad_deltas": (None, ["match", "--index", "{fx}/pool.jsonl", "--prefix", "1,1,1",
+                                "--deltas", "a,b"], "--deltas"),
+    "train_bad_layers": (None, ["codebook", "train", "--corpus", "{fx}/embeddings.jsonl",
+                                "--layers", "a,b,c,d", "--out", "{tmp}/book.json"],
+                         "layer_sizes"),
+    "config_string_k": ('{"k": "abc"}', _CONFIG_MATCH, "k from the config file"),
+    "config_int_layer_sizes": ('{"layer_sizes": 5}', _CONFIG_MATCH, "layer_sizes"),
+    "config_null_delta": ('{"delta": null}', _CONFIG_MATCH, "delta"),
+    "config_float_k": ('{"k": 2.7}', _CONFIG_MATCH, "2.7"),
+    "config_not_object": ("[1,2]", _CONFIG_MATCH, "expected a JSON object"),
+    "codebook_not_object": ("[1,2]", _ASSIGN, "expected a JSON object"),
+    "codebook_no_layer_sizes": (
+        json.dumps({"format": "sidground-codebook", "format_version": 1}), _ASSIGN,
+        "missing field 'layer_sizes'"),
+}
+
+
+class TestBadInput:
+    """Every bad setting or document at the CLI boundary is a data error:
+    exit 2 and one `sidground: error:` line, never a traceback."""
+
+    @pytest.mark.parametrize("name", list(BAD_INPUTS))
+    def test_exits_2_with_error_line(self, fixture_dir, tmp_path, capsys, name):
+        content, argv, phrase = BAD_INPUTS[name]
+        doc = tmp_path / "doc.json"
+        if content is not None:
+            doc.write_text(content)
+        argv = [a.format(doc=doc, fx=fixture_dir, tmp=tmp_path) for a in argv]
+        code = dispatch(argv)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "Traceback" not in err
+        lines = [line for line in err.splitlines() if line.startswith("sidground: error:")]
+        assert len(lines) == 1 and phrase in lines[0], err
+
+    def test_flag_beats_config_file(self, fixture_dir, tmp_path, capsys):
+        pool_jsonl = str(fixture_dir / "pool.jsonl")
+        buckets = Counter(tuple(json.loads(line)["sid"][:2]) for line in open(pool_jsonl))
+        (s1, s2), _ = buckets.most_common(1)[0]
+        s3 = 64
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"k": 20}))
+        argv = ["--config", str(path), "match", "--index", pool_jsonl,
+                "--prefix", f"{s1},{s2},{s3}", "--delta", "127"]
+        assert run_json(capsys, *argv)["k"] == 20
+        doc = run_json(capsys, *argv, "--k", "3")
+        assert doc["k"] == 3 and len(doc["results"]) == 3
 
 
 class TestDispatchBasics:

@@ -1,4 +1,5 @@
 import json
+import os
 import threading
 import urllib.request
 
@@ -151,6 +152,21 @@ class TestHttpBadInput:
         uid = next(iter(std_fixture.profiles))
         with pytest.raises(InvalidInputError):
             service.recommend(uid, "q", k=0)
+
+    def test_refresh_non_string_path_is_422_and_touches_no_descriptor(
+            self, http_server, tmp_path):
+        base, _ = http_server
+        fd = os.open(tmp_path / "held.jsonl", os.O_RDWR | os.O_CREAT)
+        try:
+            req = urllib.request.Request(base + "/refresh",
+                                         data=json.dumps({"path": fd}).encode(),
+                                         headers={"Content-Type": "application/json"})
+            with pytest.raises(urllib.error.HTTPError) as exc:
+                urllib.request.urlopen(req)
+            assert exc.value.code == 422
+            os.fstat(fd)     # raises EBADF if the server opened and closed it
+        finally:
+            os.close(fd)
 
     def test_server_keeps_serving_after_bad_bodies(self, http_server, std_fixture):
         base, _ = http_server
