@@ -33,8 +33,8 @@ import numpy as np
 
 from . import codebook as cb
 from . import pool as poolmod
-from .config import Config, parse_int_list, resolve_config
-from .dualtrack import SIDCache, enhance_track, run_benchmark, warm_cache
+from .config import Config, check_fields, parse_int_list, resolve_config
+from .dualtrack import SIDCache, run_benchmark, warm_cache
 from .errors import InvalidInputError, RecordParseError, SidgroundError
 from .evaluation import load_samples
 from .fixture import FixtureSpec, make_synthetic_fixture, write_fixture
@@ -44,11 +44,11 @@ from .jsonl import read_json, write_jsonl
 from .matcher import fuzzy_match, grid_search_delta
 from .padr import (
     EMPTY_HISTORY,
-    Demographics,
     UserProfile,
     history_from_record,
     load_histories,
     load_profiles,
+    preset_queries,
     profile_from_record,
     route,
 )
@@ -329,7 +329,9 @@ def _context_from_record(req: dict, layer_sizes, tau: int):
     _, history = history_from_record(
         {"user_id": profile.user_id, "clicks": req.get("clicks", [])}, layer_sizes
     )
-    ctx = route(profile, history, str(req.get("query", "")), tau=int(req.get("tau", tau)))
+    tau = check_fields(Config, {"tau": req.get("tau", tau)}, "context file",
+                       RecordParseError)["tau"]
+    ctx = route(profile, history, str(req.get("query", "")), tau=tau)
     if req.get("sample_id") is not None:
         ctx = dc_replace(ctx, sample_id=str(req["sample_id"]))
     return ctx
@@ -399,24 +401,15 @@ def _cmd_bench(args, cfg) -> int:
     pool = load_snapshot(args.pool, layer_sizes=cfg.layer_sizes)
     index = build_index(pool)
     rng = np.random.default_rng(cfg.seed)
-    cats = sorted({a.category for a in pool.articles}) or ["news"]
-    contexts = []
-    for i in range(args.users):
-        cat = cats[int(rng.integers(len(cats)))]
-        profile = UserProfile(
-            user_id=f"bench{i:05d}",
-            demographics=Demographics(),
-            declared_interests=(cat,),
-        )
-        contexts.append((route(profile, EMPTY_HISTORY, f"recommend {cat} news", tau=cfg.tau),
-                         profile))
+    cats = sorted({a.category for a in pool.articles} - {""}) or ["news"]
+    profiles = [UserProfile(user_id=f"bench{i:05d}",
+                            declared_interests=(cats[int(rng.integers(len(cats)))],))
+                for i in range(args.users)]
+    contexts = [(ctx, p) for p in profiles for ctx in preset_queries(p, tau=cfg.tau)]
     cache = SIDCache(layer_sizes=pool.layer_sizes)
-    gen = PoolSampledGenerator(pool, seed=cfg.seed, k=cfg.k)
-    for ctx, _ in contexts:
-        enhance_track(ctx, gen, cache)
-    stats = run_benchmark(contexts, cache, index, pool, requests=args.requests,
-                          concurrency=args.concurrency, delta=cfg.delta, k=cfg.k, lam=cfg.lam)
-    _emit(stats)
+    warm_cache(profiles, PoolSampledGenerator(pool, seed=cfg.seed, k=cfg.k), cache, tau=cfg.tau)
+    _emit(run_benchmark(contexts, cache, index, pool, requests=args.requests,
+                        concurrency=args.concurrency, delta=cfg.delta, k=cfg.k, lam=cfg.lam))
     return 0
 
 

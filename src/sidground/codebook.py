@@ -93,8 +93,8 @@ class Codebook:
 def _as_corpus(corpus) -> np.ndarray:
     """Validate and convert an embedding corpus to a (N, D) float64 array."""
     arr = np.asarray(corpus, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise InvalidInputError("corpus must be a nonempty list of equal-length vectors")
+    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
+        raise InvalidInputError("corpus must be a nonempty list of equal-length nonempty vectors")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("corpus contains non-finite embedding values")
     return arr

@@ -26,8 +26,9 @@ import json
 import logging
 import threading
 import time
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
@@ -400,8 +401,9 @@ class EnhanceWorkers:
 
     A worker gives up the interpreter after every task, whether the task
     returned or raised, so a saturated pool lets waiting serving threads
-    run between generator calls. A task's future still carries its
-    result or its exception.
+    run between generator calls. A task that raises is counted in
+    `failed` and logged, its future keeps the exception, and the next
+    drain() raises the first such error, finished or not.
     """
 
     def __init__(self, cache: SIDCache, generator, workers: int = 2,
@@ -412,6 +414,8 @@ class EnhanceWorkers:
         self._executor = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="enhance")
         self._pending: set = set()
         self.scheduled = 0
+        self.failed = 0
+        self._error: Exception | None = None    # first failure drain() has not raised
         self._lock = threading.Lock()
 
     def schedule(self, context: UserContext):
@@ -424,6 +428,12 @@ class EnhanceWorkers:
     def _run(self, context: UserContext) -> Optional[CacheEntry]:
         try:
             return enhance_track(context, self._generator, self._cache, None, self._ttl)
+        except Exception as e:
+            with self._lock:
+                self.failed += 1
+                self._error = self._error or e
+            logger.exception("enhance track: task failed for user %r", context.user_id)
+            raise
         finally:
             # A worker that never blocks takes the GIL each time a serving
             # thread blocks and keeps it until preempted; releasing it
@@ -435,11 +445,16 @@ class EnhanceWorkers:
             self._pending.discard(future)
 
     def drain(self, timeout: float | None = None):
-        """Wait for currently scheduled tasks; the pool stays usable."""
+        """Wait for currently scheduled tasks, then raise the first error of
+        a task that failed since the last drain; the pool stays usable."""
         with self._lock:
             pending = list(self._pending)
         for future in pending:
-            future.result(timeout=timeout)
+            future.exception(timeout=timeout)
+        with self._lock:
+            error, self._error = self._error, None
+        if error is not None:
+            raise error
 
     def close(self, cancel_pending: bool = False):
         self._executor.shutdown(wait=True, cancel_futures=cancel_pending)
@@ -483,56 +498,58 @@ class TrackMetrics:
     fallback_level_rates: dict = field(default_factory=dict)
     latency_p50_ms: float = 0.0
     latency_p95_ms: float = 0.0
+    latency_max_ms: float = 0.0
 
     def to_record(self) -> dict:
-        return {
-            "requests": self.requests,
-            "cache_hit_rate": self.cache_hit_rate,
-            "fallback_level_rates": dict(self.fallback_level_rates),
-            "latency_p50_ms": self.latency_p50_ms,
-            "latency_p95_ms": self.latency_p95_ms,
-        }
+        return asdict(self)
+
+
+def _nearest_rank(ordered: list[float], q: float) -> float:
+    if not ordered:
+        return 0.0
+    return ordered[max(0, min(len(ordered) - 1, int(round(q * (len(ordered) - 1)))))]
 
 
 def percentile(values: list[float], q: float) -> float:
     """Nearest-rank percentile; 0.0 for an empty list."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    idx = max(0, min(len(ordered) - 1, int(round(q * (len(ordered) - 1)))))
-    return ordered[idx]
+    return _nearest_rank(sorted(values), q)
 
 
 class MetricsCollector:
-    """Thread-safe counters for serve outcomes and latencies."""
+    """Thread-safe aggregate of serve outcomes: every request is counted
+    by served_from, and the latency percentiles and max cover the latest
+    WINDOW requests, so they follow the traffic in fixed memory."""
 
-    _MAX_SAMPLES = 200_000
+    WINDOW = 200_000
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._by_source: dict[str, int] = {}
-        self._latencies: list[float] = []
-        self._requests = 0
+        self._by_source: Counter[str] = Counter()
+        self._latencies: deque[float] = deque(maxlen=self.WINDOW)
 
     def record(self, response: ServeResponse):
         with self._lock:
-            self._requests += 1
-            self._by_source[response.served_from] = self._by_source.get(response.served_from, 0) + 1
-            if len(self._latencies) < self._MAX_SAMPLES:
-                self._latencies.append(response.latency.total_ms)
+            self._by_source[response.served_from] += 1
+            self._latencies.append(response.latency.total_ms)
 
     def snapshot(self) -> TrackMetrics:
+        # Copy under the lock and sort outside it, so serving threads
+        # recording their replies wait only for the copy.
         with self._lock:
-            total = self._requests
-            hits = self._by_source.get(SERVED_CACHE, 0) + self._by_source.get(SERVED_ENHANCE, 0)
-            rates = {src: n / total for src, n in sorted(self._by_source.items())} if total else {}
-            return TrackMetrics(
-                requests=total,
-                cache_hit_rate=hits / total if total else 0.0,
-                fallback_level_rates=rates,
-                latency_p50_ms=percentile(self._latencies, 0.50),
-                latency_p95_ms=percentile(self._latencies, 0.95),
-            )
+            counts = dict(self._by_source)
+            ordered = list(self._latencies)
+        ordered.sort()
+        total = sum(counts.values())
+        if not total:
+            return TrackMetrics()
+        return TrackMetrics(
+            requests=total,
+            cache_hit_rate=(counts.get(SERVED_CACHE, 0) + counts.get(SERVED_ENHANCE, 0)) / total,
+            fallback_level_rates={src: n / total for src, n in sorted(counts.items())},
+            latency_p50_ms=_nearest_rank(ordered, 0.50),
+            latency_p95_ms=_nearest_rank(ordered, 0.95),
+            latency_max_ms=ordered[-1],
+        )
 
 
 # -- In-process benchmark -------------------------------------------------
@@ -548,38 +565,18 @@ def run_benchmark(
     delta: int = 5,
     k: int = 10,
     lam: float = 0.1,
-    schedule_enhance=None,
     now: float | None = None,
 ) -> dict:
-    """Drive fast_track from `concurrency` threads and report percentiles.
-
-    Requests cycle over the provided contexts. Latency is wall time per
-    fast_track call measured inside the worker. A fixed `now` makes the
-    run independent of the wall clock (cache entries judged against it).
-    """
-    latencies = [0.0] * requests
-    sources: dict[str, int] = {}
-    lock = threading.Lock()
+    """Drive fast_track from `concurrency` threads over the cycled
+    contexts; returns the GET /metrics record plus `concurrency`. A fixed
+    `now` judges cache entries independently of the wall clock."""
+    metrics = MetricsCollector()
 
     def worker(idx: int):
         ctx, prof = contexts[idx % len(contexts)]
-        t0 = time.perf_counter()
-        resp = fast_track(
-            ctx, cache, index, pool, prof,
-            delta=delta, k=k, lam=lam, schedule_enhance=schedule_enhance, now=now,
-        )
-        latencies[idx] = (time.perf_counter() - t0) * 1000.0
-        with lock:
-            sources[resp.served_from] = sources.get(resp.served_from, 0) + 1
+        metrics.record(fast_track(ctx, cache, index, pool, prof,
+                                  delta=delta, k=k, lam=lam, now=now))
 
     with ThreadPoolExecutor(max_workers=concurrency) as ex:
         list(ex.map(worker, range(requests)))
-
-    return {
-        "requests": requests,
-        "concurrency": concurrency,
-        "p50_ms": percentile(latencies, 0.50),
-        "p95_ms": percentile(latencies, 0.95),
-        "max_ms": max(latencies) if latencies else 0.0,
-        "served_from": dict(sorted(sources.items())),
-    }
+    return {"concurrency": concurrency, **metrics.snapshot().to_record()}

@@ -80,6 +80,11 @@ DEFAULT_INTENT_MIX = {
 
 @dataclass
 class FixtureSpec:
+    """Sizes and shape of one synthetic world. Each intent draws its users
+    from one group (warm users, or sparse ones for coldstart_padr, or ones
+    with no history for pure_coldstart); an intent whose group is empty
+    gets no samples, so a fixture can hold fewer than n_samples."""
+
     seed: int = 42
     n_articles: int = 5_000
     n_users: int = 500
@@ -111,8 +116,10 @@ class FixtureSpec:
             raise FixtureSpecError("pure_cold_frac + sparse_frac cannot exceed 1")
         if self.tau < 2 or self.warm_history_max < self.tau:
             raise FixtureSpecError("need tau >= 2 and warm_history_max >= tau")
-        if self.n_articles < 1 or self.n_users < 0 or self.n_samples < 0:
-            raise FixtureSpecError("sizes must be nonnegative (n_articles >= 1)")
+        if self.n_articles < 1 or self.n_users < 0 or self.n_samples < 0 or self.dim < 1:
+            raise FixtureSpecError("sizes must be nonnegative (n_articles >= 1, dim >= 1)")
+        if self.n_samples > 0 and self.n_users < 1:
+            raise FixtureSpecError("n_samples > 0 needs n_users >= 1")
         if self.intent_mix.get(INTENT_CANDIDATE_SELECTION, 0) > 0 and self.n_articles < 5:
             raise FixtureSpecError("candidate_selection samples need at least 5 articles")
         unknown = set(self.intent_mix) - set(DEFAULT_INTENT_MIX)

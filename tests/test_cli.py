@@ -5,6 +5,7 @@ import pytest
 
 from sidground.cli import dispatch
 from sidground.config import Config, resolve_config
+from sidground.dualtrack import TrackMetrics
 
 
 def run(capsys, *argv):
@@ -97,15 +98,27 @@ class TestConfig:
 _CONFIG_MATCH = ["--config", "{doc}", "match", "--index", "{fx}/pool.jsonl", "--prefix", "1,1,1"]
 _GEN = ["gen", "run", "--generator", "random", "--context", "{doc}"]
 _SPEC = ["eval", "fixture", "--spec", "{doc}", "--out", "{tmp}/out"]
+_TRAIN = ["codebook", "train", "--corpus", "{doc}", "--layers", "4,4,4,4",
+          "--out", "{tmp}/book.json"]
 _ASSIGN = ["codebook", "assign", "--codebook", "{doc}", "--corpus", "{fx}/embeddings.jsonl",
            "--out", "{tmp}/sids.jsonl"]
 BAD_INPUTS = {
     "gen_context_bad_json": ("{nope", _GEN, "bad JSON"),
     "gen_context_not_object": ("[1,2]", _GEN, "expected a JSON object"),
+    "gen_context_float_tau": ('{"profile": {"user_id": "u"}, "tau": 2.7}', _GEN, "2.7"),
+    "gen_context_string_tau": ('{"profile": {"user_id": "u"}, "tau": "3"}', _GEN,
+                               "tau from the context file"),
+    "gen_context_bool_tau": ('{"profile": {"user_id": "u"}, "tau": true}', _GEN,
+                             "tau from the context file"),
     "spec_bad_json": ("{nope", _SPEC, "bad JSON"),
     "spec_string_int": ('{"n_articles": "x"}', _SPEC, "n_articles"),
     "spec_short_layer_sizes": ('{"layer_sizes": [1,2]}', _SPEC, "layer_sizes"),
     "spec_not_object": ("[1,2]", _SPEC, "expected a JSON object"),
+    "spec_zero_dim": ('{"dim": 0, "n_articles": 50, "n_users": 10, "n_samples": 20}', _SPEC,
+                      "dim >= 1"),
+    "spec_samples_without_users": ('{"n_users": 0, "n_samples": 5}', _SPEC, "n_users >= 1"),
+    "train_zero_dim_corpus": ("".join(f'{{"id": "a{i}", "embedding": []}}\n' for i in range(8)),
+                              _TRAIN, "nonempty vectors"),
     "split_bad_cutoff": (None, ["pool", "split", "--in", "{fx}/pool.jsonl",
                                 "--cutoff", "notadate", "--train-out", "{tmp}/a.jsonl",
                                 "--test-out", "{tmp}/b.jsonl"], "--cutoff"),
@@ -303,8 +316,22 @@ class TestPipeline:
         doc = run_json(capsys, "bench", "--pool", snap, "--requests", "200",
                        "--concurrency", "4", "--users", "20")
         assert doc["requests"] == 200
-        assert doc["p95_ms"] >= doc["p50_ms"] > 0
-        assert doc["served_from"].get("cache", 0) > 0
+        assert doc["latency_p95_ms"] >= doc["latency_p50_ms"] > 0
+        assert doc["fallback_level_rates"].get("cache", 0) > 0
+
+    def test_bench_prints_the_metrics_record(self, fixture_dir, capsys):
+        doc = run_json(capsys, "bench", "--pool", str(fixture_dir / "pool.jsonl"),
+                       "--requests", "50", "--concurrency", "2", "--users", "5")
+        assert set(doc) == {"concurrency"} | set(TrackMetrics().to_record())
+
+    def test_bench_pool_without_categories(self, capsys, tmp_path):
+        # Articles may omit their category; bench then warms "news" contexts.
+        pool = tmp_path / "pool.jsonl"
+        rows = ({"id": f"a{i}", "published_at": 1e9, "sid": [1, 1, 1, i]} for i in range(20))
+        pool.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        doc = run_json(capsys, "bench", "--pool", str(pool), "--requests", "20",
+                       "--concurrency", "1", "--users", "3")
+        assert doc["requests"] == 20
 
 
 class TestFullSmokePipeline:

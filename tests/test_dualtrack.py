@@ -1,3 +1,4 @@
+import logging
 import threading
 import time
 
@@ -7,7 +8,9 @@ from sidground.codebook import SID
 from sidground.dualtrack import (
     CacheEntry,
     EnhanceWorkers,
+    LatencyBreakdown,
     MetricsCollector,
+    ServeResponse,
     SIDCache,
     ctx_hash,
     enhance_track,
@@ -326,7 +329,24 @@ class TestMetrics:
         assert snap.cache_hit_rate == pytest.approx(0.5)
         assert snap.fallback_level_rates["cache"] == pytest.approx(0.5)
         assert snap.fallback_level_rates["fallback_level_3"] == pytest.approx(0.5)
-        assert snap.latency_p95_ms >= snap.latency_p50_ms >= 0.0
+        assert snap.latency_max_ms >= snap.latency_p95_ms >= snap.latency_p50_ms >= 0.0
+
+    def test_latency_window_follows_traffic(self):
+        def reply(total_ms):
+            return ServeResponse(articles=(), served_from="cache",
+                                 latency=LatencyBreakdown(total_ms=total_ms), pool_version=1)
+
+        collector = MetricsCollector()
+        slow, fast = reply(50.0), reply(1.0)
+        for _ in range(200_000):
+            collector.record(slow)
+        for _ in range(200_000):
+            collector.record(fast)
+        snap = collector.snapshot()
+        assert snap.requests == 400_000
+        assert snap.fallback_level_rates == {"cache": 1.0}
+        assert snap.latency_p50_ms == 1.0
+        assert snap.latency_max_ms == 1.0
 
 
 class TestEnhanceWorkers:
@@ -371,3 +391,16 @@ class TestEnhanceWorkers:
         assert workers.scheduled == 2
         assert len(cache) == 1
         assert yields == [0, 0]
+
+    def test_counts_logs_and_reports_failed_tasks(self, caplog):
+        # SIDPrefix(99, ...) is outside the default 32 layer-1 codes, so
+        # validate_sid raises after the generator has returned.
+        workers = EnhanceWorkers(SIDCache(), StaticGenerator([SIDPrefix(99, 2, 2)]), workers=1)
+        with caplog.at_level(logging.ERROR, logger="sidground.dualtrack"):
+            workers.schedule(ctx())
+            workers.close()     # the task has finished and left the pending set
+        assert workers.failed == 1
+        assert len([r for r in caplog.records if r.levelno >= logging.ERROR]) == 1
+        with pytest.raises(SidRangeError):
+            workers.drain()
+        workers.drain()         # each failure is raised once
