@@ -241,7 +241,7 @@ class _Request:
     def respond(self, candidates: list[MatchResult], served_from: str) -> ServeResponse:
         t_rank = time.perf_counter()
         ranked = rank(candidates, self.pool, self.profile, now=self.now, lam=self.lam,
-                      history=self.context.history)[:self.k]
+                      history=self.context.history, k=self.k)
         t_end = time.perf_counter()
         return ServeResponse(
             articles=tuple(ranked),

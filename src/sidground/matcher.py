@@ -8,8 +8,11 @@ s3 hit scores 1.0 and the farthest admitted candidate scores
 1/(delta+1) > 0.
 
 Ordering is total: score descending, then published_at descending (news
-favors recency), then id ascending. Empty results are a normal outcome
-and signal the caller's fallback path, never an error.
+favors recency), then id ascending. Since the score strictly decreases
+in the s3 distance, candidates are ordered on the integer-led key
+(s3_distance, -published_at, id), read straight from the prefix index's
+triples; only the k kept rows are scored. Empty results are a normal
+outcome and signal the caller's fallback path, never an error.
 """
 
 from __future__ import annotations
@@ -27,12 +30,13 @@ class MatchResult(NamedTuple):
     s3_distance: int
 
 
-def _order_and_truncate(index: PrefixIndex, scored: list[tuple[float, int, str]], k: int) -> list[MatchResult]:
-    """Sort (score, distance, id) candidates by the documented tie-break
-    chain and truncate to k."""
-    by_id = index.pool.by_id
-    scored.sort(key=lambda c: (-c[0], -by_id[c[2]].published_at, c[2]))
-    return [MatchResult(article_id=i, score=s, s3_distance=d) for s, d, i in scored[:k]]
+def _top_k(keyed: list[tuple[int, float, str]], delta: int, k: int) -> list[MatchResult]:
+    """Sort (s3_distance, -published_at, id) keys, keep the first k and
+    score only those. The score strictly decreases in the distance, so
+    this is the documented score-desc, published_at-desc, id-asc order."""
+    keyed.sort()
+    denom = delta + 1.0
+    return [MatchResult(article_id=i, score=1.0 - d / denom, s3_distance=d) for d, _, i in keyed[:k]]
 
 
 def fuzzy_match(prefix: SIDPrefix, index: PrefixIndex, delta: int = 5, k: int = 10) -> list[MatchResult]:
@@ -48,9 +52,7 @@ def fuzzy_match(prefix: SIDPrefix, index: PrefixIndex, delta: int = 5, k: int = 
         raise InvalidInputError("k must be >= 1")
     s1, s2, s3 = prefix
     window = index.bucket_window(s1, s2, s3 - delta, s3 + delta)
-    denom = delta + 1.0
-    scored = [(1.0 - abs(c3 - s3) / denom, abs(c3 - s3), aid) for c3, aid in window]
-    return _order_and_truncate(index, scored, k)
+    return _top_k([(abs(c3 - s3), -pub, aid) for c3, aid, pub in window], delta, k)
 
 
 def match_count(prefix: SIDPrefix, index: PrefixIndex, delta: int) -> int:
@@ -78,14 +80,13 @@ def hierarchical_match(
     if k < 1:
         raise InvalidInputError("k must be >= 1")
     s1, s2, s3 = prefix
-    denom = delta3 + 1.0
-    scored: list[tuple[float, int, str]] = []
-    for b1 in range(max(0, s1 - delta1), s1 + delta1 + 1):
-        for b2 in range(max(0, s2 - delta2), s2 + delta2 + 1):
-            for c3, aid in index.bucket_window(b1, b2, s3 - delta3, s3 + delta3):
-                d = abs(c3 - s3)
-                scored.append((1.0 - d / denom, d, aid))
-    return _order_and_truncate(index, scored, k)
+    keyed = [
+        (abs(c3 - s3), -pub, aid)
+        for b1 in range(max(0, s1 - delta1), s1 + delta1 + 1)
+        for b2 in range(max(0, s2 - delta2), s2 + delta2 + 1)
+        for c3, aid, pub in index.bucket_window(b1, b2, s3 - delta3, s3 + delta3)
+    ]
+    return _top_k(keyed, delta3, k)
 
 
 def grid_search_delta(

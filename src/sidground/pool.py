@@ -7,15 +7,16 @@ they grabbed while a writer publishes the next one (atomic reference
 swap; see dualtrack).
 
 The PrefixIndex realizes the (s1,s2) -> sorted-s3 lookup the matcher
-needs: one bucket per (s1,s2) pair holding (s3, article_id) tuples
-sorted ascending, so a tolerance window on s3 is a binary search plus a
-short scan regardless of pool size.
+needs: one bucket per (s1,s2) pair holding (s3, article_id,
+published_at) triples sorted ascending, so a tolerance window on s3 is a
+binary search plus a short scan regardless of pool size, and ordering
+the window needs no per-article pool lookup.
 """
 
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from itertools import chain
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -106,30 +107,30 @@ class NewsPool:
 class PrefixIndex:
     """(s1,s2)-keyed index over one pool snapshot.
 
-    buckets[(s1,s2)] is a list of (s3, article_id) sorted ascending by
-    (s3, id). Holds a reference to its source pool so the matcher can
-    resolve metadata without a separate lookup structure.
+    buckets[(s1,s2)] is a list of (s3, article_id, published_at) triples
+    sorted ascending by (s3, id); ids are unique, so published_at never
+    decides the order. The triple carries the recency the matcher's
+    tie-break needs. Holds a reference to its source pool for callers
+    that resolve other article metadata.
     """
 
-    buckets: dict[tuple[int, int], list[tuple[int, str]]]
+    buckets: dict[tuple[int, int], list[tuple[int, str, float]]]
     built_from: int
     pool: NewsPool = field(repr=False)
 
-    def bucket_window(self, s1: int, s2: int, s3_lo: int, s3_hi: int) -> list[tuple[int, str]]:
+    def bucket_window(self, s1: int, s2: int, s3_lo: int, s3_hi: int) -> list[tuple[int, str, float]]:
         """Entries with s3 in [s3_lo, s3_hi] from one bucket (may be empty)."""
         bucket = self.buckets.get((s1, s2))
         if not bucket:
             return []
-        lo = bisect_left(bucket, (s3_lo,))
-        hi = bisect_right(bucket, (s3_hi, "\uffff"))
-        return bucket[lo:hi]
+        return bucket[bisect_left(bucket, (s3_lo,)):bisect_left(bucket, (s3_hi + 1,))]
 
 
 def build_index(pool: NewsPool) -> PrefixIndex:
     """Index every pool article into exactly one (s1,s2) bucket."""
-    buckets: dict[tuple[int, int], list[tuple[int, str]]] = {}
+    buckets: dict[tuple[int, int], list[tuple[int, str, float]]] = {}
     for a in pool.articles:
-        buckets.setdefault((a.sid.s1, a.sid.s2), []).append((a.sid.s3, a.id))
+        buckets.setdefault((a.sid.s1, a.sid.s2), []).append((a.sid.s3, a.id, a.published_at))
     for bucket in buckets.values():
         bucket.sort()
     return PrefixIndex(buckets=buckets, built_from=pool.version, pool=pool)

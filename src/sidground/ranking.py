@@ -56,6 +56,12 @@ def profile_keywords(
     return frozenset(words)
 
 
+def _points(article: Article, categories: set[str], keywords: frozenset[str]) -> int:
+    tags = article.tags     # most articles share no tag with the keywords: skip the set
+    tag_hits = 0 if keywords.isdisjoint(tags) else len(keywords.intersection(tags))
+    return CATEGORY_WEIGHT * (article.category in categories) + KEYWORD_WEIGHT * tag_hits
+
+
 def interest_points(
     article: Article,
     profile: UserProfile,
@@ -65,15 +71,13 @@ def interest_points(
     (tag) hit. keywords defaults to the declared interests alone."""
     if keywords is None:
         keywords = frozenset(profile.declared_interests)
-    category_hit = article.category in set(profile.top_categories())
-    tag_hits = len(set(article.tags) & keywords)
-    return CATEGORY_WEIGHT * int(category_hit) + KEYWORD_WEIGHT * tag_hits
+    return _points(article, set(profile.top_categories()), keywords)
 
 
 def freshness(published_at: float, now: float) -> float:
     """exp(-age_hours/24), clamped into (0, 1] for future timestamps."""
-    age_hours = max(0.0, (now - published_at) / 3600.0)
-    return math.exp(-age_hours / 24.0)
+    age_hours = (now - published_at) / 3600.0    # max(0.0, age) without the call
+    return math.exp(-(age_hours if age_hours > 0.0 else 0.0) / 24.0)
 
 
 def rank(
@@ -83,45 +87,39 @@ def rank(
     now: float,
     lam: float = DEFAULT_LAMBDA,
     history: BehaviorHistory | None = None,
+    k: int | None = None,
 ) -> list[RankedCandidate]:
     """Order match candidates by the combined relevance/freshness score.
 
     Ties break by match_score, then published_at descending, then id, so
-    the ordering is total and deterministic.
+    the ordering is total and deterministic: each candidate is scored as
+    the plain tuple (-final, -match_score, -published_at, id, ...), whose
+    natural order is that chain. With k, RankedCandidate is built for the
+    top k rows only: rank(..., k=k) == rank(...)[:k].
     """
     if not (0.0 <= lam <= 1.0):
         raise InvalidInputError("lambda must be in [0, 1]")
-    missing = [c.article_id for c in candidates if c.article_id not in pool.by_id]
+    if k is not None and k < 1:
+        raise InvalidInputError(f"k must be >= 1, got {k}")
+    by_id = pool.by_id
+    missing = [c.article_id for c in candidates if c.article_id not in by_id]
     if missing:
         raise ConsistencyError(f"candidates reference articles not in pool: {missing[:5]}")
-
+    arts = [by_id[c.article_id] for c in candidates]
     keywords = profile_keywords(profile, history, pool)
-    points = [interest_points(pool.by_id[c.article_id], profile, keywords) for c in candidates]
-    max_points = max(points, default=0)
-    denom = 1 + max_points
+    categories = set(profile.top_categories())
+    points = [_points(a, categories, keywords) for a in arts]
+    denom = 1 + max(points, default=0)
 
-    ranked = []
-    for c, pts in zip(candidates, points):
-        art = pool.by_id[c.article_id]
-        relevance = c.score * (1 + pts) / denom
+    rows = []
+    for (aid, score, _), art, pts in zip(candidates, arts, points):
+        relevance = score * (1 + pts) / denom
         fresh = freshness(art.published_at, now)
         final = (1.0 - lam) * relevance + lam * fresh
-        ranked.append(
-            RankedCandidate(
-                article_id=c.article_id,
-                match_score=c.score,
-                interest_points=pts,
-                freshness=fresh,
-                final_score=final,
-            )
-        )
-    by_id = pool.by_id
-    ranked.sort(
-        key=lambda r: (
-            -r.final_score,
-            -r.match_score,
-            -by_id[r.article_id].published_at,
-            r.article_id,
-        )
-    )
-    return ranked
+        rows.append((-final, -score, -art.published_at, aid, pts, fresh))
+    rows.sort()
+    return [
+        RankedCandidate(article_id=aid, match_score=-neg_score, interest_points=pts,
+                        freshness=fresh, final_score=-neg_final)
+        for neg_final, neg_score, _, aid, pts, fresh in rows[:k]
+    ]

@@ -125,11 +125,9 @@ class _Handler(BaseHTTPRequestHandler):
         doc = json.loads(raw.decode("utf-8"))
         if not isinstance(doc, dict):
             raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
-        if "k" in doc:
-            try:
-                doc["k"] = int(doc["k"])
-            except (TypeError, ValueError) as e:
-                raise ValueError(f"k must be an integer, got {doc['k']!r}") from e
+        k = doc.get("k")
+        if "k" in doc and (isinstance(k, bool) or not isinstance(k, int)):
+            raise ValueError(f"k must be an integer, got {k!r}")
         return doc
 
     def do_GET(self):

@@ -74,13 +74,13 @@ class TestIndex:
     def test_single_article_bucket(self):
         pool = NewsPool([art(0, 3, 5, 9, 100)])
         index = build_index(pool)
-        assert index.buckets == {(3, 5): [(9, "n0")]}
+        assert index.buckets == {(3, 5): [(9, "n0", 1000.0)]}
         assert index.built_from == pool.version
 
     def test_bucket_sorted(self):
-        pool = NewsPool([art(0, 1, 1, 40), art(1, 1, 1, 12)])
+        pool = NewsPool([art(0, 1, 1, 40), art(1, 1, 1, 12, published=500.0)])
         index = build_index(pool)
-        assert index.buckets[(1, 1)] == [(12, "n1"), (40, "n0")]
+        assert index.buckets[(1, 1)] == [(12, "n1", 500.0), (40, "n0", 1000.0)]
 
     def test_partition(self):
         pool = random_pool(seed=3, n=500)
@@ -88,7 +88,7 @@ class TestIndex:
         assert sum(len(b) for b in index.buckets.values()) == len(pool)
         seen = set()
         for bucket in index.buckets.values():
-            for _, aid in bucket:
+            for _, aid, _ in bucket:
                 assert aid not in seen
                 seen.add(aid)
 
@@ -96,8 +96,16 @@ class TestIndex:
         pool = NewsPool([art(i, 2, 2, s3) for i, s3 in enumerate([5, 10, 15, 20])])
         index = build_index(pool)
         window = index.bucket_window(2, 2, 8, 16)
-        assert [s3 for s3, _ in window] == [10, 15]
+        assert [s3 for s3, _, _ in window] == [10, 15]
         assert index.bucket_window(9, 9, 0, 127) == []
+
+    def test_window_upper_edge_keeps_any_id(self):
+        # An id sorting above "\uffff" (here one starting with an emoji)
+        # still belongs to the window when its s3 is the upper bound.
+        pool = NewsPool([Article(id=i, title="", category="c", tags=(), published_at=1.0,
+                                 sid=SID(2, 2, 12, 0)) for i in ("plain", "\U0001F4F0news")])
+        window = build_index(pool).bucket_window(2, 2, 8, 12)
+        assert [aid for _, aid, _ in window] == ["plain", "\U0001F4F0news"]
 
 
 class TestRefresh:

@@ -107,6 +107,46 @@ class TestRank:
         pool = NewsPool([art(0)])
         with pytest.raises(InvalidInputError):
             rank([match(0)], pool, profile(), now=NOW, lam=1.5)
+        with pytest.raises(InvalidInputError):
+            rank([match(0)], pool, profile(), now=NOW, k=0)
 
     def test_future_article_freshness_clamped(self):
         assert freshness(NOW + 3600.0, NOW) == 1.0
+
+
+class TestTopK:
+    """rank(..., k=k) is the full ranking cut to k, field for field."""
+
+    @staticmethod
+    def check_every_k(candidates, pool, prof, now, lam=0.1, history=None):
+        full = rank(candidates, pool, prof, now=now, lam=lam, history=history)
+        for k in range(1, len(candidates) + 2):
+            assert rank(candidates, pool, prof, now=now, lam=lam, history=history, k=k) == full[:k]
+        return full
+
+    def test_random_std_fixture_sets(self, std_fixture):
+        import numpy as np
+        rng = np.random.default_rng(17)
+        pool = std_fixture.pool
+        profiles = list(std_fixture.profiles.values())
+        for trial in range(60):
+            n = int(rng.integers(1, 40))
+            picks = rng.choice(len(pool), n, replace=False)
+            # Half the sets draw scores from two values, forcing score ties.
+            scores = rng.choice([0.5, 1.0], n) if trial % 2 else rng.uniform(0.1, 1.0, n)
+            cands = [MatchResult(pool.articles[int(i)].id, float(s), 0)
+                     for i, s in zip(picks, scores)]
+            prof = profiles[int(rng.integers(len(profiles)))]
+            self.check_every_k(cands, pool, prof, now=pool.as_of,
+                               history=std_fixture.histories.get(prof.user_id))
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_forced_ties_fall_to_recency_then_id(self, lam):
+        # Same category, tags and match score: the final score ties within
+        # an age, recency decides across ages (alone at lam=0), and equal
+        # published_at falls through to the id.
+        pool = NewsPool([art(i, age_hours=float(i % 3)) for i in range(12)])
+        cands = [match(i, 0.5) for i in reversed(range(12))]
+        full = self.check_every_k(cands, pool, profile(()), now=NOW, lam=lam)
+        want = sorted((f"r{i}" for i in range(12)), key=lambda a: (int(a[1:]) % 3, a))
+        assert [r.article_id for r in full] == want

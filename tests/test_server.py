@@ -133,7 +133,9 @@ class TestHttpBadInput:
         base, _ = http_server
         assert self.status(base, body) == 400
 
-    @pytest.mark.parametrize("k", ["abc", None, [5]])
+    # A JSON number with a fraction, a boolean or a numeric string is not
+    # an integer k, even where int() would take it.
+    @pytest.mark.parametrize("k", ["abc", None, [5], 2.7, True, "3"])
     def test_non_integer_k_is_400(self, http_server, std_fixture, k):
         base, _ = http_server
         uid = next(iter(std_fixture.profiles))
