@@ -108,15 +108,19 @@ def corpus_fingerprint(corpus: np.ndarray) -> str:
     return h.hexdigest()[:16]
 
 
-def _pairwise_sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _batches(points: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(start, slice, squared norms) per _DIST_BATCH slice of the points:
+    computed once, reused for every set of centroids."""
+    chunks = [(i, points[i : i + _DIST_BATCH]) for i in range(0, len(points), _DIST_BATCH)]
+    return [(i, chunk, (chunk * chunk).sum(axis=1, keepdims=True)) for i, chunk in chunks]
+
+
+def _pairwise_sq_dists(points: np.ndarray, centroids: np.ndarray, batches=None) -> np.ndarray:
     """Squared Euclidean distances, (N, K), batched to bound memory."""
-    n = points.shape[0]
-    out = np.empty((n, centroids.shape[0]), dtype=np.float64)
+    out = np.empty((points.shape[0], centroids.shape[0]), dtype=np.float64)
     c_norm = (centroids * centroids).sum(axis=1)
-    for i in range(0, n, _DIST_BATCH):
-        chunk = points[i : i + _DIST_BATCH]
-        d = (chunk * chunk).sum(axis=1, keepdims=True) - 2.0 * (chunk @ centroids.T)
-        out[i : i + _DIST_BATCH] = d + c_norm[None, :]
+    for i, chunk, p_norm in batches or _batches(points):
+        out[i : i + _DIST_BATCH] = p_norm - 2.0 * (chunk @ centroids.T) + c_norm[None, :]
     # Float cancellation can leave tiny negatives; they would corrupt
     # k-means++ sampling weights.
     np.maximum(out, 0.0, out=out)
@@ -133,9 +137,10 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         centroids[n:] = points.mean(axis=0)
         return centroids
     centroids = np.empty((k, dim), dtype=np.float64)
+    batches = _batches(points)      # each new centroid costs one product per batch
     first = int(rng.integers(n))
     centroids[0] = points[first]
-    closest = _pairwise_sq_dists(points, centroids[0:1])[:, 0]
+    closest = _pairwise_sq_dists(points, centroids[0:1], batches)[:, 0]
     for j in range(1, k):
         total = closest.sum()
         if total <= 0.0:
@@ -145,7 +150,7 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         probs = closest / total
         idx = int(rng.choice(n, p=probs))
         centroids[j] = points[idx]
-        d_new = _pairwise_sq_dists(points, centroids[j : j + 1])[:, 0]
+        d_new = _pairwise_sq_dists(points, centroids[j : j + 1], batches)[:, 0]
         np.minimum(closest, d_new, out=closest)
     return centroids
 
@@ -154,9 +159,10 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iters: int) -> np.ndar
     """Lloyd iterations with deterministic tie-break and empty-cluster
     re-seeding from the globally farthest point."""
     k = centroids.shape[0]
+    batches = _batches(points)
     prev_inertia = np.inf
     for _ in range(max_iters):
-        dists = _pairwise_sq_dists(points, centroids)
+        dists = _pairwise_sq_dists(points, centroids, batches)
         assign = dists.argmin(axis=1)           # argmin: lowest index on ties
         min_d = dists[np.arange(len(points)), assign]
         inertia = float(min_d.sum())

@@ -248,19 +248,44 @@ def expected_random_l1(
 def _resample_means(values: np.ndarray, resamples: int, seed: int) -> np.ndarray:
     """Means of `resamples` bootstrap draws, chunked to bound memory.
 
-    Chunking does not change the stream: the generator yields the same
-    index sequence whether drawn at once or in pieces.
+    `values` is one row (n,) or equal-length rows (r, n); every row is
+    reduced over the same index draws, one `row[idx]` gather each (a
+    stacked gather is slower). Chunking does not change the stream: the
+    generator yields the same index sequence whether drawn at once or in
+    pieces.
     """
+    rows = np.atleast_2d(values)
     rng = np.random.default_rng(seed)
-    n = len(values)
-    means = np.empty(resamples, dtype=np.float64)
+    n = rows.shape[1]
+    means = np.empty((len(rows), resamples), dtype=np.float64)
     done = 0
     while done < resamples:
         m = min(_BOOTSTRAP_CHUNK, resamples - done)
         idx = rng.integers(0, n, size=(m, n))
-        means[done : done + m] = values[idx].mean(axis=1)
+        for row, out in zip(rows, means):
+            out[done : done + m] = row[idx].mean(axis=1)
         done += m
-    return means
+    return means if values.ndim == 2 else means[0]
+
+
+def bootstrap_cis(
+    rows: Sequence[Sequence[float]],
+    resamples: int = DEFAULT_RESAMPLES,
+    seed: int = DEFAULT_SEED,
+) -> list[tuple[float, float, float]]:
+    """Percentile-bootstrap 95% CIs for the means of equal-length rows,
+    one (point, lo, hi) per row. The rows share one index draw per
+    resample, so each result equals bootstrap_ci(row, resamples, seed)."""
+    if resamples < 1:
+        raise InvalidInputError("resamples must be >= 1")
+    arr = np.asarray(rows, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] == 0:
+        raise InvalidInputError("bootstrap needs nonempty equal-length rows of values")
+    out = []
+    for row, means in zip(arr, _resample_means(arr, resamples, seed)):
+        lo, hi = np.percentile(means, [2.5, 97.5])
+        out.append((float(row.mean()), float(lo), float(hi)))
+    return out
 
 
 def bootstrap_ci(
@@ -271,12 +296,7 @@ def bootstrap_ci(
     """Percentile-bootstrap 95% CI for the mean: (point, lo, hi)."""
     if len(values) == 0:
         raise InvalidInputError("bootstrap_ci needs nonempty values")
-    if resamples < 1:
-        raise InvalidInputError("resamples must be >= 1")
-    arr = np.asarray(values, dtype=np.float64)
-    means = _resample_means(arr, resamples, seed)
-    lo, hi = np.percentile(means, [2.5, 97.5])
-    return float(arr.mean()), float(lo), float(hi)
+    return bootstrap_cis([values], resamples, seed)[0]
 
 
 def paired_bootstrap_p(
@@ -341,13 +361,23 @@ class UniformChooser:
 class GeneratorChooser:
     """Picks the candidate whose prefix best agrees with the generator's
     output: exact (s1,s2) beats s1-only beats no signal; closer s3 wins
-    within an exact (s1,s2) hit. First candidate wins ties."""
+    within an exact (s1,s2) hit. First candidate wins ties.
+
+    Each sample's output is kept, so scoring the same (sample, context)
+    under both negative modes calls the generator once.
+    """
 
     def __init__(self, generator):
         self.generator = generator
+        self._outputs: dict[str, tuple] = {}   # sample_id -> (context, output)
 
     def choose(self, sample: EvalSample, candidates: list[Article], context) -> str:
-        output = self.generator.generate(context)
+        kept = self._outputs.get(sample.sample_id)
+        if kept is not None and kept[0] is context:
+            output = kept[1]
+        else:
+            output = self.generator.generate(context)
+            self._outputs[sample.sample_id] = (context, output)
         if not output.prefixes:
             return candidates[0].id
         best_id, best_score = candidates[0].id, float("-inf")
@@ -401,10 +431,15 @@ def draw_candidates(
             if by_category is not None
             else [a.id for a in pool.articles if a.category == target.category]
         )
-        same_cat = [i for i in same_cat if i != target.id]
-        if len(same_cat) >= 2:
-            picks = rng.choice(len(same_cat), size=2, replace=False)
-            chosen.extend(same_cat[int(i)] for i in picks)
+        # Draw by index into the category list, stepping over the target.
+        try:
+            skip = same_cat.index(target.id)
+        except ValueError:
+            skip = len(same_cat)
+        others = len(same_cat) - (skip < len(same_cat))
+        if others >= 2:
+            picks = rng.choice(others, size=2, replace=False)
+            chosen.extend(same_cat[j + (j >= skip)] for j in map(int, picks))
         else:
             fell_back = True
     elif negative_mode != NEGATIVE_MODE_RAND:

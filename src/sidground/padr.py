@@ -104,13 +104,31 @@ class UserContext:
     """Routed request context handed to generators and the cache."""
 
     path: str                     # "warm" | "hybrid" | "cold"
-    rendered: str                 # canonical serialized context
     query: str
     indicator: Optional[str] = None
     user_id: str = ""
     profile: Optional[UserProfile] = field(default=None, repr=False)
     history: Optional[BehaviorHistory] = field(default=None, repr=False)
     sample_id: Optional[str] = None   # set by the eval harness for replay
+
+    @property
+    def rendered(self) -> str:
+        """Canonical serialized context, rendered on first read and kept.
+
+        Generators that never read it (HistPop) never pay for it. Lazy
+        init is benign under concurrent readers: a race renders the same
+        string twice.
+        """
+        text = self.__dict__.get("_rendered")
+        if text is None:
+            sections = _render_profile(self.profile)
+            if self.history:
+                sections += _render_history(self.history)
+            sections += ["QUERY", self.query]
+            if self.indicator is not None:
+                sections += ["INDICATOR", self.indicator]
+            text = self.__dict__["_rendered"] = "\n".join(sections)
+        return text
 
 
 def _render_profile(p: UserProfile) -> list[str]:
@@ -157,15 +175,8 @@ def route(
     else:
         path, indicator = "cold", INDICATOR_NO_HISTORY
 
-    sections = _render_profile(profile)
-    if n > 0:
-        sections += _render_history(history)
-    sections += ["QUERY", query]
-    if indicator is not None:
-        sections += ["INDICATOR", indicator]
     return UserContext(
         path=path,
-        rendered="\n".join(sections),
         query=query,
         indicator=indicator,
         user_id=profile.user_id,

@@ -27,6 +27,7 @@ from .evaluation import (
     HitAtOneResult,
     PartialMatchStats,
     bootstrap_ci,
+    bootstrap_cis,
     category_indicators,
     expected_random_l1,
     hallucination_rate,
@@ -214,12 +215,16 @@ def run_eval(
 
     open_gen: dict[str, MetricCI] = {}
     l1_vals = l1_indicators(predictions, targets)
-    l2_vals = l2_indicators(predictions, targets)
-    cat_vals = category_indicators(predictions, target_cats, index, delta=delta)
-    for key, vals in (("l1_match", l1_vals), ("l2_match", l2_vals), ("category_match", cat_vals)):
-        if vals:
-            point, lo, hi = bootstrap_ci(vals, resamples=resamples, seed=seed)
-            open_gen[key] = MetricCI(point, lo, hi, len(vals))
+    rows = {
+        "l1_match": l1_vals,
+        "l2_match": l2_indicators(predictions, targets),
+        "category_match": category_indicators(predictions, target_cats, index, delta=delta),
+    }
+    if open_samples:
+        # Same n and seed: one bootstrap index draw serves all three CIs.
+        cis = bootstrap_cis(list(rows.values()), resamples=resamples, seed=seed)
+        for key, (point, lo, hi) in zip(rows, cis):
+            open_gen[key] = MetricCI(point, lo, hi, len(open_samples))
 
     halluc = hallucination_rate(predictions, index)
     empty_rate = (

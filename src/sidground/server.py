@@ -121,6 +121,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_json(self) -> dict:
         length = int(self.headers.get("Content-Length", 0))
+        if length < 0:      # rfile.read(-1) would wait for the client to close
+            raise ValueError(f"Content-Length must be >= 0, got {length}")
         raw = self.rfile.read(length) if length else b"{}"
         doc = json.loads(raw.decode("utf-8"))
         if not isinstance(doc, dict):

@@ -1,9 +1,13 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from sidground.codebook import (
+    _DIST_BATCH,
+    _kmeanspp_init,
+    _pairwise_sq_dists,
     assign_sid,
     assign_sids,
     load_codebook,
@@ -35,6 +39,77 @@ def brute_force_assign(codebook, corpus):
             residual = residual - table[idx]
         sids.append(tuple(code))
     return sids
+
+
+def reference_sq_dists(points, centroids):
+    """Batched squared distances recomputing every point norm per call,
+    in the expression order the codebook has always used."""
+    out = np.empty((len(points), len(centroids)))
+    c_norm = (centroids * centroids).sum(axis=1)
+    for i in range(0, len(points), _DIST_BATCH):
+        chunk = points[i : i + _DIST_BATCH]
+        d = (chunk * chunk).sum(axis=1, keepdims=True) - 2.0 * (chunk @ centroids.T)
+        out[i : i + _DIST_BATCH] = d + c_norm[None, :]
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
+def reference_kmeanspp(points, k, rng):
+    """k-means++ seeding that recomputes every distance per chosen
+    centroid: the oracle for the seeding that keeps per-batch point
+    norms."""
+    n, dim = points.shape
+    if k >= n:
+        centroids = np.empty((k, dim))
+        centroids[:n] = points
+        centroids[n:] = points.mean(axis=0)
+        return centroids
+    centroids = np.empty((k, dim))
+    centroids[0] = points[int(rng.integers(n))]
+    closest = reference_sq_dists(points, centroids[0:1])[:, 0]
+    for j in range(1, k):
+        total = closest.sum()
+        if total <= 0.0:
+            centroids[j:] = points[int(rng.integers(n))]
+            break
+        centroids[j] = points[int(rng.choice(n, p=closest / total))]
+        np.minimum(closest, reference_sq_dists(points, centroids[j : j + 1])[:, 0],
+                   out=closest)
+    return centroids
+
+
+@pytest.mark.parametrize("case", ["over_one_batch", "k_at_least_n", "all_coincide",
+                                  "few_distinct"])
+def test_kmeanspp_matches_per_centroid_oracle(case):
+    rng = np.random.default_rng(17)
+    if case == "over_one_batch":
+        points, k = rng.normal(0, 3, size=(9000, 16)), 48
+        assert len(points) > _DIST_BATCH
+    elif case == "k_at_least_n":
+        points, k = rng.normal(size=(10, 4)), 16
+    elif case == "all_coincide":
+        points, k = np.tile(rng.normal(size=(1, 6)), (50, 1)), 8
+    else:   # the zero-weight branch after some centroids were drawn
+        points, k = rng.normal(size=(3, 5))[rng.integers(0, 3, 60)], 8
+    got = _kmeanspp_init(points, k, np.random.default_rng(5))
+    want = reference_kmeanspp(points, k, np.random.default_rng(5))
+    assert np.array_equal(got, want)
+
+
+def test_pairwise_sq_dists_bit_identical_to_reference():
+    rng = np.random.default_rng(23)
+    points, centroids = rng.normal(0, 3, size=(9000, 16)), rng.normal(size=(40, 16))
+    assert np.array_equal(_pairwise_sq_dists(points, centroids),
+                          reference_sq_dists(points, centroids))
+
+
+def test_trained_tables_frozen():
+    # Digest of the centroid tables as trained before k-means++ and
+    # Lloyd kept per-batch point norms.
+    corpus = np.random.default_rng(31).normal(size=(5000, 16))
+    book = train_codebook(corpus, layer_sizes=(8, 16, 32, 64), seed=4)
+    h = hashlib.sha256(b"".join(t.tobytes() for t in book.layers)).hexdigest()
+    assert h == "575069f3acb2c58a54af43f6a06b67bc740bf90f6e9cfc8588b2213a34a2bfc3"
 
 
 def test_kmeans_with_k_equal_n_recovers_points():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -11,6 +13,7 @@ from sidground.evaluation import (
     OracleChooser,
     UniformChooser,
     bootstrap_ci,
+    bootstrap_cis,
     category_match,
     cohens_d,
     draw_candidates,
@@ -24,8 +27,12 @@ from sidground.evaluation import (
     partial_match_analysis,
     write_samples,
 )
+from sidground.fixture import FixtureSpec, make_synthetic_fixture
+from sidground.generator import HistPopGenerator, RandomGenerator
+from sidground.hashing import derive_seed
 from sidground.matcher import SIDPrefix
 from sidground.pool import Article, NewsPool, build_index
+from sidground.report import run_eval
 
 
 def art(i, s1=0, s2=0, s3=0, category="c"):
@@ -178,6 +185,33 @@ class TestBootstrap:
             bootstrap_ci([])
 
 
+class TestSharedBootstrap:
+    """bootstrap_cis draws each index matrix once for all rows; every row
+    must still get exactly the CI bootstrap_ci gives it alone."""
+
+    @pytest.mark.parametrize("resamples", [1, 256, 777, 2000])
+    def test_rows_equal_single_row_ci(self, resamples):
+        rng = np.random.default_rng(21)
+        rows = [
+            list(rng.random(301)),                        # non-0/1 floats
+            [float(v) for v in rng.integers(0, 2, 301)],
+            list(rng.normal(5.0, 3.0, 301)),
+        ]
+        got = bootstrap_cis(rows, resamples=resamples, seed=13)
+        assert got == [bootstrap_ci(r, resamples=resamples, seed=13) for r in rows]
+
+    def test_single_row_is_bootstrap_ci(self):
+        values = list(np.random.default_rng(4).random(90))
+        assert bootstrap_cis([values], resamples=500, seed=8) == [
+            bootstrap_ci(values, resamples=500, seed=8)]
+
+    def test_bad_rows_rejected(self):
+        with pytest.raises(InvalidInputError):
+            bootstrap_cis([[]])
+        with pytest.raises(InvalidInputError):
+            bootstrap_cis([[1.0, 0.0]], resamples=0)
+
+
 class TestPairedBootstrap:
     def test_identical_lists_p_one(self):
         a = list(np.random.default_rng(1).random(100))
@@ -295,6 +329,113 @@ class TestHitAtOne:
         # Occasional exact-prefix collisions among negatives can steal a
         # tie, but the chooser must be near-perfect on diverse prefixes.
         assert hits >= 95
+
+
+def list_copy_draw(sample, pool, negative_mode, seed, by_category):
+    """draw_candidates as it was before align drew by index: the same-
+    category list is copied without the target, then sampled."""
+    rng = np.random.default_rng(derive_seed(seed, "hit1-negatives", sample.sample_id))
+    target = pool.by_id[sample.target_article_id]
+    fell_back = False
+    chosen = []
+    if negative_mode == "align":
+        same_cat = [i for i in by_category.get(target.category, []) if i != target.id]
+        if len(same_cat) >= 2:
+            picks = rng.choice(len(same_cat), size=2, replace=False)
+            chosen.extend(same_cat[int(i)] for i in picks)
+        else:
+            fell_back = True
+    exclude = {target.id, *chosen}
+    n = len(pool.articles)
+    while len(chosen) < 4:
+        cand = pool.articles[int(rng.integers(n))].id
+        if cand not in exclude:
+            chosen.append(cand)
+            exclude.add(cand)
+    ids = [target.id] + chosen
+    return [ids[int(i)] for i in rng.permutation(5)], fell_back
+
+
+class TestAlignDrawByIndex:
+    @pytest.fixture()
+    def world(self):
+        cats = ["thin", "common", "solo", "common", "thin"] + ["common"] * 10 + ["wide"] * 9
+        arts = [art(i, category=c) for i, c in enumerate(cats)]
+        pool = NewsPool(arts)
+        by_cat = {}
+        for a in arts:
+            by_cat.setdefault(a.category, []).append(a.id)
+        return pool, arts, by_cat
+
+    def assert_same_draws(self, pool, arts, by_cat, target, fallback):
+        for seed in range(25):
+            s = cs_sample(seed, target, arts)
+            want = list_copy_draw(s, pool, "align", seed, by_cat)
+            assert want[1] == fallback
+            assert draw_candidates(s, pool, "align", seed, by_cat) == want
+            assert draw_candidates(s, pool, "align", seed) == want
+
+    @pytest.mark.parametrize("where", [0, 5, -1])
+    def test_target_first_middle_last(self, world, where):
+        pool, arts, by_cat = world
+        self.assert_same_draws(pool, arts, by_cat, by_cat["common"][where], False)
+
+    @pytest.mark.parametrize("cat", ["thin", "solo"])
+    def test_thin_category_falls_back(self, world, cat):
+        pool, arts, by_cat = world
+        self.assert_same_draws(pool, arts, by_cat, by_cat[cat][0], True)
+
+    def test_category_list_without_target(self, world):
+        pool, arts, by_cat = world
+        target = by_cat["wide"][4]
+        without = dict(by_cat, wide=[i for i in by_cat["wide"] if i != target])
+        for seed in range(10):
+            s = cs_sample(seed, target, arts)
+            assert (draw_candidates(s, pool, "align", seed, without)
+                    == list_copy_draw(s, pool, "align", seed, without))
+
+
+@pytest.fixture(scope="module")
+def golden_world():
+    return make_synthetic_fixture(FixtureSpec(seed=3, n_articles=1500, n_users=120,
+                                              n_samples=400, embeddings=False))
+
+
+def report_sha256(report) -> str:
+    return hashlib.sha256(json.dumps(report.to_record(), sort_keys=True).encode()).hexdigest()
+
+
+class TestRunEvalGoldens:
+    """Reports frozen before the eval stopped repeating work (shared
+    bootstrap draws, one generator call per sample, lazy rendering)."""
+
+    @pytest.mark.parametrize("generator, want", [
+        (HistPopGenerator(),
+         "089c164d9980cf997d811eec404df240c57c974de6d37b3790aacf496a62ced9"),
+        (RandomGenerator(seed=5),     # reads the rendered context
+         "5c890c82e2a0cb092e4a657012f0cead75095c88dea30bc4015341c77c14b012"),
+    ])
+    def test_report_digest_frozen(self, golden_world, generator, want):
+        w = golden_world
+        report = run_eval(w.samples, w.pool, generator, profiles=w.profiles,
+                          histories=w.histories, resamples=500)
+        assert report_sha256(report) == want
+
+    def test_generator_called_once_per_sample(self, golden_world):
+        w = golden_world
+
+        class Counting(HistPopGenerator):
+            calls = 0
+
+            def generate(self, context):
+                self.calls += 1
+                return super().generate(context)
+
+        gen = Counting()
+        report = run_eval(w.samples, w.pool, gen, profiles=w.profiles,
+                          histories=w.histories, resamples=50)
+        assert report.hit_rand.n_evaluated == report.intent_counts["candidate_selection"] > 0
+        assert gen.calls == len(w.samples)
 
 
 class TestPartialMatch:

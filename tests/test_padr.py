@@ -1,9 +1,13 @@
+import hashlib
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidground.codebook import DEFAULT_LAYER_SIZES, SID
 from sidground.errors import InvalidInputError
+from sidground.evaluation import load_samples
 from sidground.padr import (
     BehaviorHistory,
     Click,
@@ -12,12 +16,17 @@ from sidground.padr import (
     UserProfile,
     history_from_record,
     history_to_record,
+    load_histories,
+    load_profiles,
     path_distribution,
     preset_queries,
     profile_from_record,
     profile_to_record,
     route,
 )
+from sidground.report import build_contexts
+
+DEMO = Path(__file__).resolve().parent.parent / "assets" / "demo"
 
 
 def make_history(n, start=100.0):
@@ -74,6 +83,27 @@ class TestRoute:
         r = ctx.rendered
         assert r.index("PROFILE") < r.index("HISTORY") < r.index("QUERY") < r.index("INDICATOR")
         assert "the query" in r
+
+    def test_demo_renderings_frozen(self):
+        # Every demo sample's context and every demo user's full-history
+        # context, byte for byte as rendered before rendering became lazy.
+        samples = load_samples(DEMO / "samples.jsonl")
+        profiles = load_profiles(DEMO / "profiles.jsonl")
+        histories = load_histories(DEMO / "histories.jsonl")
+        contexts = build_contexts(samples, profiles, histories)
+        h = hashlib.sha256()
+        for s in samples:
+            h.update(contexts[s.sample_id].rendered.encode() + b"\0")
+        for uid, p in profiles.items():
+            ctx = route(p, histories.get(uid, EMPTY_HISTORY), "q", tau=10)
+            h.update(ctx.rendered.encode() + b"\0")
+        assert h.hexdigest() == "affa60935d263548ca79a60d27edc6d0b7d422ff58463aa728cefe5594f802bf"
+
+    def test_rendered_once_on_first_read(self):
+        ctx = route(make_profile(), make_history(3), "q", tau=10)
+        assert "_rendered" not in ctx.__dict__
+        assert ctx.rendered is ctx.rendered
+        assert ctx.__dict__["_rendered"] is ctx.rendered
 
     def test_tau_validation(self):
         with pytest.raises(InvalidInputError):

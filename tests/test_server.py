@@ -1,5 +1,6 @@
 import json
 import os
+import socket
 import threading
 import urllib.request
 
@@ -169,6 +170,17 @@ class TestHttpBadInput:
             os.fstat(fd)     # raises EBADF if the server opened and closed it
         finally:
             os.close(fd)
+
+    def test_negative_content_length_is_400(self, http_server):
+        # The client keeps the connection open: a server that reads until
+        # close would never answer, and the timeout fails the test.
+        base, _ = http_server
+        host, port = base.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=3.0) as sock:
+            sock.sendall(b"POST /recommend HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Type: application/json\r\nContent-Length: -1\r\n\r\n{}")
+            status_line = sock.makefile("rb").readline()
+        assert status_line.split()[1] == b"400"
 
     def test_server_keeps_serving_after_bad_bodies(self, http_server, std_fixture):
         base, _ = http_server
