@@ -26,7 +26,6 @@ from .dualtrack import (
     ServeResponse,
     ctx_hash,
     enhance_track,
-    fallback_cascade,
     fast_track,
     warm_cache,
 )

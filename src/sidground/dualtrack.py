@@ -3,8 +3,8 @@
 The fast track never waits on a generator. It hashes the routed context,
 looks up cached SID prefixes, fuzzy-matches them against the current
 snapshot, and ranks; anything that goes wrong descends a four-level
-cascade that terminates at platform-wide trending. The enhance track
-runs generators on a bounded worker pool off the request path and
+cascade that terminates at the pool's most recent articles. The enhance
+track runs generators on a bounded worker pool off the request path and
 installs fresh cache entries (last writer wins per context hash).
 
 Enhance workers are threads in the serving interpreter. Each one gives
@@ -49,7 +49,6 @@ MIN_LEVEL1_RESULTS = 3       # fewer level-1 matches than this triggers the casc
 LEVEL2_DELTA_BONUS = 5       # level 2 broadens matching to delta + 5
 
 SERVED_CACHE = "cache"
-SERVED_ENHANCE = "enhance"
 SERVED_FALLBACK_2 = "fallback_level_2"
 SERVED_FALLBACK_3 = "fallback_level_3"
 SERVED_FALLBACK_4 = "fallback_level_4"
@@ -185,31 +184,16 @@ def merge_matches(per_prefix: Iterable[list[MatchResult]]) -> list[MatchResult]:
     return list(best.values())
 
 
-def _match_prefixes(
-    prefixes: Iterable[SIDPrefix], index: PrefixIndex, delta: int, k: int
-) -> list[MatchResult]:
-    return merge_matches(fuzzy_match(p, index, delta=delta, k=k) for p in prefixes)
-
-
-def _top_by_popularity(pool: NewsPool, k: int, click_counts, categories=None):
-    """Top-k articles by click count (recency tiebreak) or recency alone.
-
-    Without a click log this rides the pool's cached recency orderings,
-    so a fallback serve costs O(k), not a pool-wide sort per request.
-    """
-    if categories is not None:
-        groups = pool.category_recency()
-        lists = [groups.get(cat, []) for cat in categories]
-        if click_counts:
-            merged = [a for lst in lists for a in lst]
-            merged.sort(key=lambda a: (-click_counts.get(a.id, 0), -a.published_at, a.id))
-            return merged[:k]
-        merged = heapq.merge(*lists, key=lambda a: (-a.published_at, a.id))
-        return list(itertools.islice(merged, k))
-    if click_counts:
-        return sorted(pool.articles,
-                      key=lambda a: (-click_counts.get(a.id, 0), -a.published_at, a.id))[:k]
-    return list(pool.recency_order()[:k])
+def _most_recent(pool: NewsPool, k: int, categories=None) -> list:
+    """The k newest articles (ties by id), pool-wide or in the given
+    categories. Rides the pool's cached recency orderings, so a fallback
+    serve costs O(k), not a pool-wide sort per request."""
+    if categories is None:
+        return list(pool.recency_order()[:k])
+    groups = pool.category_recency()
+    merged = heapq.merge(*(groups.get(cat, []) for cat in categories),
+                         key=lambda a: (-a.published_at, a.id))
+    return list(itertools.islice(merged, k))
 
 
 def _as_matches(articles) -> list[MatchResult]:
@@ -234,7 +218,7 @@ class _Request:
 
     def match(self, prefixes: Iterable[SIDPrefix], index: PrefixIndex, delta: int) -> list[MatchResult]:
         t = time.perf_counter()
-        merged = _match_prefixes(prefixes, index, delta=delta, k=self.k)
+        merged = merge_matches(fuzzy_match(p, index, delta=delta, k=self.k) for p in prefixes)
         self.match_ms += (time.perf_counter() - t) * 1000.0
         return merged
 
@@ -256,60 +240,26 @@ class _Request:
         )
 
 
-def fallback_cascade(
-    context: UserContext,
-    index: PrefixIndex,
-    pool: NewsPool,
-    profile: UserProfile,
-    start_level: int,
-    prefixes: tuple[SIDPrefix, ...] = (),
-    origin: str = SERVED_CACHE,
-    delta: int = 5,
-    k: int = 10,
-    lam: float = 0.1,
-    now: float | None = None,
-    click_counts: dict[str, int] | None = None,
-    _request: _Request | None = None,
-) -> ServeResponse:
-    """Walk levels start_level..4 until one yields at least one article.
+def fallback_cascade(req: _Request, index: PrefixIndex, prefixes: tuple[SIDPrefix, ...] = (),
+                     delta: int = 5) -> ServeResponse:
+    """Levels 2..4 of one request; the first level with an article serves.
 
-    Level 1: standard matching (delta) on the given prefixes; a success
-    reports served_from as the prefix origin (cache or enhance).
-    Level 2: broadened matching (delta + 5) on the same prefixes.
-    Level 3: most-clicked (or most recent, absent a click log) articles
-    in the profile's top categories.
-    Level 4: pool-wide top articles. Only an empty pool can fail here.
+    Level 2: broadened matching (delta + 5) on the cached prefixes; a
+    cache miss has none and starts at level 3.
+    Level 3: the most recent articles in the profile's top categories.
+    Level 4: the most recent articles pool-wide.
 
-    fast_track passes its own _request (which then supplies k, lam and
-    now), so one response carries the timings of the whole request.
+    Levels 3 and 4 pick exactly the top k; rank() then only orders the
+    picked set for presentation.
     """
-    if start_level not in (1, 2, 3, 4):
-        raise ConsistencyError(f"start_level must be 1..4, got {start_level}")
-    if len(pool) == 0:
-        raise EmptyPoolError("cannot serve from an empty pool")
-    req = _request or _Request(context, pool, profile, k, lam, now)
-
-    if start_level <= 1 and prefixes:
-        merged = req.match(prefixes, index, delta)
-        if merged:
-            return req.respond(merged, origin)
-
-    if start_level <= 2 and prefixes:
+    if prefixes:
         merged = req.match(prefixes, index, delta + LEVEL2_DELTA_BONUS)
         if merged:
             return req.respond(merged, SERVED_FALLBACK_2)
-
-    # Levels 3 and 4 pick exactly the top-k by the level's signal; rank()
-    # then only orders the picked set for presentation.
-    if start_level <= 3:
-        cats = profile.top_categories()
-        if cats:
-            chosen = _top_by_popularity(pool, req.k, click_counts, categories=cats)
-            if chosen:
-                return req.respond(_as_matches(chosen), SERVED_FALLBACK_3)
-
-    chosen = _top_by_popularity(pool, req.k, click_counts)
-    return req.respond(_as_matches(chosen), SERVED_FALLBACK_4)
+    chosen = _most_recent(req.pool, req.k, req.profile.top_categories())
+    if chosen:
+        return req.respond(_as_matches(chosen), SERVED_FALLBACK_3)
+    return req.respond(_as_matches(_most_recent(req.pool, req.k)), SERVED_FALLBACK_4)
 
 
 def fast_track(
@@ -323,15 +273,14 @@ def fast_track(
     lam: float = 0.1,
     now: float | None = None,
     schedule_enhance: Callable[[UserContext], None] | None = None,
-    click_counts: dict[str, int] | None = None,
 ) -> ServeResponse:
     """Serve one request from the cache-and-match path.
 
     Cache hit: fuzzy-match the cached prefixes and rank; fewer than
-    MIN_LEVEL1_RESULTS matches descends the cascade from level 2. Cache
-    miss: schedule the enhance track (if a scheduler is wired) and serve
-    the profile fallback (level 3) immediately. The whole request reads
-    one (pool, index) snapshot pair.
+    MIN_LEVEL1_RESULTS matches descends fallback_cascade from level 2.
+    Cache miss: schedule the enhance track (if a scheduler is wired) and
+    serve fallback_cascade from level 3 immediately. The whole request
+    reads one (pool, index) snapshot pair.
     """
     if index.built_from != pool.version:
         raise ConsistencyError(
@@ -346,14 +295,12 @@ def fast_track(
     if entry is None:
         if schedule_enhance is not None:
             schedule_enhance(context)
-        return fallback_cascade(context, index, pool, profile, start_level=3,
-                                click_counts=click_counts, _request=req)
+        return fallback_cascade(req, index)
 
     merged = req.match(entry.prefixes, index, delta)
     if len(merged) >= MIN_LEVEL1_RESULTS:
         return req.respond(merged, SERVED_CACHE)
-    return fallback_cascade(context, index, pool, profile, start_level=2, prefixes=entry.prefixes,
-                            delta=delta, click_counts=click_counts, _request=req)
+    return fallback_cascade(req, index, entry.prefixes, delta)
 
 
 def enhance_track(
@@ -505,14 +452,7 @@ class TrackMetrics:
 
 
 def _nearest_rank(ordered: list[float], q: float) -> float:
-    if not ordered:
-        return 0.0
     return ordered[max(0, min(len(ordered) - 1, int(round(q * (len(ordered) - 1)))))]
-
-
-def percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile; 0.0 for an empty list."""
-    return _nearest_rank(sorted(values), q)
 
 
 class MetricsCollector:
@@ -544,7 +484,7 @@ class MetricsCollector:
             return TrackMetrics()
         return TrackMetrics(
             requests=total,
-            cache_hit_rate=(counts.get(SERVED_CACHE, 0) + counts.get(SERVED_ENHANCE, 0)) / total,
+            cache_hit_rate=counts.get(SERVED_CACHE, 0) / total,
             fallback_level_rates={src: n / total for src, n in sorted(counts.items())},
             latency_p50_ms=_nearest_rank(ordered, 0.50),
             latency_p95_ms=_nearest_rank(ordered, 0.95),

@@ -100,6 +100,10 @@ class EvalSample:
                 raise InvalidInputError(
                     f"sample {self.sample_id}: candidates must include the target"
                 )
+        if self.history_len < 0:
+            raise InvalidInputError(
+                f"sample {self.sample_id}: history_len must be >= 0, got {self.history_len}"
+            )
         if self.intent == INTENT_PURE_COLDSTART and self.history_len != 0:
             raise InvalidInputError(
                 f"sample {self.sample_id}: pure_coldstart requires history_len 0"
@@ -127,6 +131,9 @@ def load_samples(path, layer_sizes=DEFAULT_LAYER_SIZES) -> list[EvalSample]:
         try:
             target = rec["target"]
             cands = rec.get("candidates")
+            history_len = rec.get("history_len", 0)
+            if type(history_len) is not int:    # int() would take 2.7, true and "3"
+                raise ValueError(f"history_len must be an integer, got {history_len!r}")
             return EvalSample(
                 sample_id=str(rec["sample_id"]),
                 intent=str(rec["intent"]),
@@ -134,7 +141,7 @@ def load_samples(path, layer_sizes=DEFAULT_LAYER_SIZES) -> list[EvalSample]:
                 query=str(rec.get("query", "")),
                 target_article_id=str(target["article_id"]),
                 target_sid=validate_sid(target["sid"], layer_sizes, what="target sid"),
-                history_len=int(rec.get("history_len", 0)),
+                history_len=history_len,
                 candidates=tuple(str(c) for c in cands) if cands is not None else None,
             )
         except (KeyError, TypeError, ValueError, InvalidInputError) as e:
@@ -474,8 +481,8 @@ def hit_at_1(
 ) -> HitAtOneResult:
     """Score a chooser on candidate-selection samples.
 
-    Samples whose target is missing from the pool, or with fewer than 5
-    distinct articles available, are skipped and counted.
+    Samples whose target is missing from the pool are skipped and counted.
+    A pool of fewer than 5 articles raises InvalidInputError.
     """
     if len(pool) < 5:
         raise InvalidInputError("hit_at_1 needs a pool of at least 5 articles")

@@ -47,11 +47,8 @@ class RecommendService:
         tau: int = DEFAULT_TAU,
         ttl_seconds: int = DEFAULT_TTL_SECONDS,
         enhance_workers: int = 2,
-        cache: SIDCache | None = None,
-        click_counts: dict[str, int] | None = None,
     ):
-        self.cache = cache if cache is not None else SIDCache(layer_sizes=pool.layer_sizes)
-        self._check_layer_sizes(pool)
+        self.cache = SIDCache(layer_sizes=pool.layer_sizes)
         self._snapshot = (pool, build_index(pool))
         self._swap_lock = threading.Lock()
         self.profiles = profiles
@@ -61,20 +58,12 @@ class RecommendService:
         self.k = k
         self.lam = lam
         self.tau = tau
-        self.click_counts = click_counts
         self.enhance = EnhanceWorkers(self.cache, generator, workers=enhance_workers,
                                       ttl_seconds=ttl_seconds)
 
     @property
     def snapshot(self) -> tuple[NewsPool, "object"]:
         return self._snapshot          # tuple read is atomic
-
-    def _check_layer_sizes(self, pool: NewsPool):
-        """Cached prefixes only mean something for the codebook they came from."""
-        if pool.layer_sizes != self.cache.layer_sizes:
-            raise InvalidInputError(
-                f"pool layer sizes {pool.layer_sizes} differ from the cache's "
-                f"{self.cache.layer_sizes}")
 
     def recommend(self, user_id: str, query: str, k: int | None = None):
         profile = self.profiles.get(user_id) or UserProfile(user_id=user_id)
@@ -85,13 +74,16 @@ class RecommendService:
             context, self.cache, index, pool, profile,
             delta=self.delta, k=self.k if k is None else k, lam=self.lam,
             schedule_enhance=self.enhance.schedule,
-            click_counts=self.click_counts,
         )
         self.metrics.record(response)
         return response
 
     def refresh_pool(self, new_pool: NewsPool):
-        self._check_layer_sizes(new_pool)
+        # Cached prefixes only mean something for the codebook they came from.
+        if new_pool.layer_sizes != self.cache.layer_sizes:
+            raise InvalidInputError(
+                f"pool layer sizes {new_pool.layer_sizes} differ from the cache's "
+                f"{self.cache.layer_sizes}")
         with self._swap_lock:
             old_pool, _ = self._snapshot
             if new_pool.version <= old_pool.version:
@@ -130,6 +122,9 @@ class _Handler(BaseHTTPRequestHandler):
         k = doc.get("k")
         if "k" in doc and (isinstance(k, bool) or not isinstance(k, int)):
             raise ValueError(f"k must be an integer, got {k!r}")
+        for key in ("user_id", "query"):        # str() would serve null as "None"
+            if not isinstance(doc.get(key, ""), str):
+                raise ValueError(f"{key} must be a string, got {doc[key]!r}")
         return doc
 
     def do_GET(self):
@@ -147,8 +142,8 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path == "/recommend":
             try:
                 resp = self.service.recommend(
-                    user_id=str(body.get("user_id", "")),
-                    query=str(body.get("query", "")),
+                    user_id=body.get("user_id", ""),
+                    query=body.get("query", ""),
                     k=body.get("k"),
                 )
             except SidgroundError as e:

@@ -21,9 +21,7 @@ from sidground.dualtrack import (
     SIDCache,
     ctx_hash,
     enhance_track,
-    fallback_cascade,
     fast_track,
-    percentile,
     run_benchmark,
 )
 from sidground.evaluation import (
@@ -360,6 +358,10 @@ def test_criterion_08_latency_at_paper_scale(paper_scale):
     # min p95 across rounds per side: ambient disturbances only inflate,
     # so best-observed p95 is the reproducible estimate for each pool.
     import gc
+
+    def p95(values):        # nearest rank
+        return sorted(values)[round(0.95 * (len(values) - 1))]
+
     p95_base, p95_double = [], []
     gc.disable()
     try:
@@ -368,8 +370,8 @@ def test_criterion_08_latency_at_paper_scale(paper_scale):
             for b in range(25):
                 means_base.append(one_batch(index, (r * 25 + b) * 400))
                 means_double.append(one_batch(index2, (r * 25 + b) * 400))
-            p95_base.append(percentile(means_base, 0.95))
-            p95_double.append(percentile(means_double, 0.95))
+            p95_base.append(p95(means_base))
+            p95_double.append(p95(means_double))
     finally:
         gc.enable()
     base, dbl = min(p95_base), min(p95_double)
@@ -442,26 +444,22 @@ def test_criterion_09_cascade_levels(std_fixture):
 
     profile = UserProfile(user_id="u", declared_interests=("technology",))
     ctx = route(profile, EMPTY_HISTORY, "q", tau=10)
+    cached = SIDCache()
+    cached.put(CacheEntry(ctx_hash=ctx_hash(ctx), prefixes=(SIDPrefix(1, 1, 10),),
+                          reason="", ts=NOW))
 
-    # Level 1: dense bucket.
-    pool = NewsPool([art(i, 1, 1, 10 + i % 3) for i in range(6)])
-    resp = fallback_cascade(ctx, build_index(pool), pool, profile, start_level=1,
-                            prefixes=(SIDPrefix(1, 1, 10),), origin="cache", now=NOW)
-    assert resp.served_from == "cache"
+    def serve(cache, articles):
+        pool = NewsPool(articles)
+        return fast_track(ctx, cache, build_index(pool), pool, profile, now=NOW).served_from
+
+    # Level 1: dense bucket, at least 3 matches for the cached prefix.
+    assert serve(cached, [art(i, 1, 1, 10 + i % 3) for i in range(6)]) == "cache"
     # Level 2: only reachable by the broadened window.
-    pool = NewsPool([art(0, 1, 1, 18)])
-    resp = fallback_cascade(ctx, build_index(pool), pool, profile, start_level=1,
-                            prefixes=(SIDPrefix(1, 1, 10),), now=NOW)
-    assert resp.served_from == "fallback_level_2"
+    assert serve(cached, [art(0, 1, 1, 18)]) == "fallback_level_2"
     # Level 3: bucket gone entirely, profile category present.
-    pool = NewsPool([art(0, 9, 9, 9)])
-    resp = fallback_cascade(ctx, build_index(pool), pool, profile, start_level=1,
-                            prefixes=(SIDPrefix(1, 1, 10),), now=NOW)
-    assert resp.served_from == "fallback_level_3"
-    # Level 4: no prefixes, no matching category.
-    pool = NewsPool([art(0, 9, 9, 9, category="weather")])
-    resp = fallback_cascade(ctx, build_index(pool), pool, profile, start_level=1, now=NOW)
-    assert resp.served_from == "fallback_level_4"
+    assert serve(cached, [art(0, 9, 9, 9)]) == "fallback_level_3"
+    # Level 4: a cache miss, no matching category.
+    assert serve(SIDCache(), [art(0, 9, 9, 9, category="weather")]) == "fallback_level_4"
 
     # Activation rate on the standard fixture with a grounded generator.
     fx = std_fixture

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import logging
+import random
 import threading
 import time
 
@@ -12,12 +15,11 @@ from sidground.dualtrack import (
     MetricsCollector,
     ServeResponse,
     SIDCache,
+    TrackMetrics,
     ctx_hash,
     enhance_track,
-    fallback_cascade,
     fast_track,
     merge_matches,
-    percentile,
     warm_cache,
 )
 from sidground.errors import EmptyPoolError, ConsistencyError, SidRangeError
@@ -187,20 +189,14 @@ class TestFastTrack:
 
 
 class TestFallbackCascade:
-    def test_level1_success_reports_origin(self):
-        pool = NewsPool([art(i, s3=10 + i) for i in range(5)])
-        index = build_index(pool)
-        resp = fallback_cascade(ctx(), index, pool, ctx().profile, start_level=1,
-                                prefixes=(SIDPrefix(1, 1, 10),), origin="enhance", now=NOW)
-        assert resp.served_from == "enhance"
-
     def test_level_sequence_2_then_3(self):
-        # Prefix bucket does not exist; level 2 broadening stays empty;
+        # The cached bucket does not exist; level 2 broadening stays empty;
         # level 3 serves the profile category.
         pool = NewsPool([art(0, s1=9, s2=9, s3=9)])
-        index = build_index(pool)
-        resp = fallback_cascade(ctx(), index, pool, ctx().profile, start_level=2,
-                                prefixes=(SIDPrefix(1, 1, 10),), now=NOW)
+        cache = SIDCache()
+        c = ctx()
+        cache.put(entry_for(c, [SIDPrefix(1, 1, 10)]))
+        resp = fast_track(c, cache, build_index(pool), pool, c.profile, now=NOW)
         assert resp.served_from == "fallback_level_3"
 
     def test_terminal_trending(self):
@@ -208,23 +204,75 @@ class TestFallbackCascade:
         index = build_index(pool)
         profile = UserProfile(user_id="u", declared_interests=("sports",))
         c = route(profile, EMPTY_HISTORY, "q", tau=10)
-        resp = fallback_cascade(c, index, pool, profile, start_level=3, now=NOW)
+        resp = fast_track(c, SIDCache(), index, pool, profile, now=NOW)
         assert resp.served_from == "fallback_level_4"
         assert len(resp.articles) == 1
 
-    def test_level3_prefers_click_counts(self):
-        arts = [art(0, age_hours=5.0), art(1, age_hours=1.0), art(2, age_hours=10.0)]
-        pool = NewsPool(arts)
-        index = build_index(pool)
-        clicks = {"d002": 50, "d000": 10, "d001": 1}
-        resp = fallback_cascade(ctx(), index, pool, ctx().profile, start_level=3,
-                                now=NOW, click_counts=clicks, k=2)
-        assert {a.article_id for a in resp.articles} <= {"d000", "d002"}
-
     def test_empty_pool(self):
+        # A cached entry does not get an empty pool past the check.
         pool = NewsPool([])
+        cache = SIDCache()
+        c = ctx()
+        cache.put(entry_for(c, [SIDPrefix(1, 1, 10)]))
         with pytest.raises(EmptyPoolError):
-            fallback_cascade(ctx(), build_index(pool), pool, ctx().profile, start_level=4)
+            fast_track(c, cache, build_index(pool), pool, c.profile, now=NOW)
+
+    def test_levels_3_and_4_pick_newest_eligible(self):
+        # Oracle: level 3 serves the k newest articles (ties by id) in the
+        # profile's categories; with none in the pool, level 4 serves the
+        # k newest of the whole pool.
+        rng = random.Random(17)
+        categories = ["a", "b", "c", "d", "e"]
+        for _ in range(300):
+            n = rng.randint(1, 25)
+            pool = NewsPool([
+                Article(id=f"r{i:02d}", title="", category=rng.choice(categories), tags=(),
+                        published_at=NOW - 3600.0 * rng.randint(0, 4),
+                        sid=SID(rng.randrange(4), rng.randrange(4), rng.randrange(128), 0))
+                for i in range(n)
+            ])
+            interests = tuple(rng.sample(categories, rng.randint(1, 3)))
+            profile = UserProfile(user_id="u", declared_interests=interests)
+            k = rng.randint(1, n + 3)
+            eligible = [a for a in pool.articles if a.category in interests]
+            level = "fallback_level_3" if eligible else "fallback_level_4"
+            eligible = eligible or list(pool.articles)
+            want = sorted(eligible, key=lambda a: (-a.published_at, a.id))[:k]
+            c = route(profile, EMPTY_HISTORY, "q", tau=10)
+            resp = fast_track(c, SIDCache(), build_index(pool), pool, profile, k=k, now=NOW)
+            assert resp.served_from == level
+            assert {a.article_id for a in resp.articles} == {a.id for a in want}
+
+
+class TestServingGolden:
+    def test_replies_frozen(self, std_fixture):
+        # sha256 of every reply (latency aside) over contexts that reach the
+        # cache and fallback levels 2, 3 and 4, on the standard pool and on
+        # a refresh keeping one article in ten, for k in {1, 5, 10}.
+        fx = std_fixture
+        profiles = [fx.profiles[u] for u in sorted(fx.profiles)][:80]
+        profiles += [UserProfile(user_id=f"anon{i}") for i in range(4)]
+        contexts = [(route(p, fx.histories.get(p.user_id, EMPTY_HISTORY), q, tau=10), p)
+                    for p in profiles for q in ("recommend news", "what happened today")]
+        cache = SIDCache()
+        gen = PoolSampledGenerator(fx.pool, seed=31)
+        for c, _ in contexts[::2]:
+            enhance_track(c, gen, cache, now=NOW)
+        thin = refresh(fx.pool, remove=[a.id for i, a in enumerate(fx.pool.articles) if i % 10])
+        digest = hashlib.sha256()
+        served = {}
+        for pool in (fx.pool, thin):
+            index = build_index(pool)
+            for k in (1, 5, 10):
+                for c, profile in contexts:
+                    rec = fast_track(c, cache, index, pool, profile, k=k, now=NOW).to_record()
+                    del rec["latency_breakdown"]
+                    served[rec["served_from"]] = served.get(rec["served_from"], 0) + 1
+                    digest.update(json.dumps(rec, sort_keys=True).encode())
+        assert served == {"cache": 257, "fallback_level_2": 166,
+                          "fallback_level_3": 558, "fallback_level_4": 27}
+        assert digest.hexdigest() == (
+            "e5d9464efcecd1bc2a2cae9ab408fd763cb474a842b4d04490dfeecbe33e7262")
 
 
 class TestEnhanceTrack:
@@ -309,10 +357,15 @@ class TestWarmCache:
 
 class TestMetrics:
     def test_percentile(self):
-        vals = list(map(float, range(1, 101)))
-        assert percentile(vals, 0.50) == 51.0
-        assert percentile(vals, 0.95) == 95.0
-        assert percentile([], 0.95) == 0.0
+        # Nearest rank: index round(q * (n - 1)) into the sorted window.
+        collector = MetricsCollector()
+        assert collector.snapshot() == TrackMetrics()
+        for ms in range(100, 0, -1):
+            collector.record(ServeResponse(articles=(), served_from="cache",
+                                           latency=LatencyBreakdown(total_ms=float(ms)),
+                                           pool_version=1))
+        snap = collector.snapshot()
+        assert (snap.latency_p50_ms, snap.latency_p95_ms, snap.latency_max_ms) == (51.0, 95.0, 100.0)
 
     def test_collector_rates(self):
         pool = NewsPool([art(i) for i in range(5)])

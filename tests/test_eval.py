@@ -493,6 +493,10 @@ class TestSampleIO:
             EvalSample("s1", "candidate_selection", "u", "q", "a1", sid(0),
                        candidates=("a2", "a3", "a4", "a5", "a6"))
 
+    def test_negative_history_len_rejected(self):
+        with pytest.raises(InvalidInputError, match="history_len"):
+            EvalSample("s1", "next_item", "u", "q", "a1", sid(0), history_len=-2)
+
     def test_pure_coldstart_invariant(self):
         with pytest.raises(InvalidInputError):
             EvalSample("s1", "pure_coldstart", "u", "q", "a1", sid(0), history_len=3)

@@ -101,3 +101,14 @@ def test_cli_non_object_line_exits_2(tmp_path, capsys):
     code = dispatch(["pool", "ingest", "--in", str(path), "--out", str(tmp_path / "snap.jsonl")])
     assert code == 2
     assert "line 2" in capsys.readouterr().err
+
+
+# int() would coerce 2.7, true and "3"; a negative length would cut clicks
+# off the end of the user's history.
+@pytest.mark.parametrize("history_len", [2.7, True, "3", -2])
+def test_bad_history_len_names_line(tmp_path, history_len):
+    path = tmp_path / "samples.jsonl"
+    path.write_text(json.dumps(sample(0)) + "\n"
+                    + json.dumps({**sample(1), "history_len": history_len}) + "\n")
+    with pytest.raises(RecordParseError, match="line 2: .*history_len"):
+        load_samples(path)

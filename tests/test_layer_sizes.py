@@ -8,12 +8,12 @@ import pytest
 
 from sidground.cli import dispatch
 from sidground.dualtrack import CacheEntry, SIDCache, ctx_hash
-from sidground.errors import SidRangeError
+from sidground.errors import InvalidInputError, SidRangeError
 from sidground.evaluation import load_samples
 from sidground.generator import GeneratorOutput, RandomGenerator
 from sidground.matcher import SIDPrefix
 from sidground.padr import EMPTY_HISTORY, UserProfile, load_histories, route
-from sidground.pool import load_snapshot, save_snapshot
+from sidground.pool import NewsPool, load_snapshot, save_snapshot
 from sidground.server import RecommendService
 
 SIZES = (64, 64, 128, 1024)
@@ -126,3 +126,13 @@ def test_cli_match_prefix_uses_configured_sizes(pool_path, tmp_path, capsys, s1,
     if code == 0:
         doc = json.loads(capsys.readouterr().out)
         assert doc["results"] and doc["results"][0]["article_id"] == f"n{s1}"
+
+
+def test_refresh_rejects_other_layer_sizes(pool_path):
+    service = RecommendService(load_snapshot(pool_path, layer_sizes=SIZES), {},
+                               RandomGenerator(seed=1, layer_sizes=SIZES), enhance_workers=1)
+    try:
+        with pytest.raises(InvalidInputError):
+            service.refresh_pool(NewsPool([]))       # default layer sizes
+    finally:
+        service.close()

@@ -143,6 +143,13 @@ class TestHttpBadInput:
         body = json.dumps({"user_id": uid, "query": "q", "k": k}).encode()
         assert self.status(base, body) == 400
 
+    @pytest.mark.parametrize("field,value", [("query", None), ("query", ["q"]),
+                                             ("user_id", 7), ("user_id", None)])
+    def test_non_string_user_id_or_query_is_400(self, http_server, std_fixture, field, value):
+        base, _ = http_server
+        doc = {"user_id": next(iter(std_fixture.profiles)), "query": "q", field: value}
+        assert self.status(base, json.dumps(doc).encode()) == 400
+
     @pytest.mark.parametrize("k", [0, -3])
     def test_k_below_one_is_4xx(self, http_server, std_fixture, k):
         base, _ = http_server
