@@ -4,8 +4,8 @@ Precedence per knob: command-line flag > SIDGROUND_* environment
 variable (port, data dir, seed only) > config file > built-in default.
 Every value, whichever layer it comes from, passes check_fields, so a
 wrongly typed one is an InvalidInputError naming its key.
-The built-in defaults are the operating points the system was tuned to:
-delta=5, k=10, tau=10, lambda=0.1, ttl=86400s, layers 32/64/128/1024.
+The built-in defaults are the operating points the system was tuned to;
+each but delta=5 is the DEFAULT_* constant of the module that uses it.
 """
 
 from __future__ import annotations
@@ -13,8 +13,14 @@ from __future__ import annotations
 import os
 from dataclasses import MISSING, dataclass, fields
 
+from .codebook import DEFAULT_LAYER_SIZES
+from .dualtrack import DEFAULT_TTL_SECONDS
 from .errors import InvalidInputError
+from .evaluation import DEFAULT_RESAMPLES, DEFAULT_SEED
+from .generator import DEFAULT_K
 from .jsonl import read_json
+from .padr import DEFAULT_TAU
+from .ranking import DEFAULT_LAMBDA
 
 ENV_PREFIX = "SIDGROUND_"
 _ENV_KEYS = ("port", "data_dir", "seed")
@@ -23,13 +29,13 @@ _ENV_KEYS = ("port", "data_dir", "seed")
 @dataclass
 class Config:
     delta: int = 5
-    k: int = 10
-    tau: int = 10
-    lam: float = 0.1
-    ttl_seconds: int = 86_400
-    layer_sizes: tuple[int, int, int, int] = (32, 64, 128, 1024)
-    seed: int = 42
-    resamples: int = 10_000
+    k: int = DEFAULT_K
+    tau: int = DEFAULT_TAU
+    lam: float = DEFAULT_LAMBDA
+    ttl_seconds: int = DEFAULT_TTL_SECONDS
+    layer_sizes: tuple[int, int, int, int] = DEFAULT_LAYER_SIZES
+    seed: int = DEFAULT_SEED
+    resamples: int = DEFAULT_RESAMPLES
     port: int = 8080
     data_dir: str = "."
 

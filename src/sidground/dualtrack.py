@@ -37,7 +37,7 @@ from .errors import EmptyPoolError, ConsistencyError, InvalidInputError
 from .hashing import fnv1a_64
 from .jsonl import iter_jsonl
 from .matcher import MatchResult, SIDPrefix, fuzzy_match
-from .padr import UserContext, UserProfile, preset_queries
+from .padr import DEFAULT_TAU, UserContext, UserProfile, preset_queries
 from .pool import NewsPool, PrefixIndex
 from .ranking import RankedCandidate, rank
 
@@ -418,7 +418,7 @@ def warm_cache(
     profiles: Iterable[UserProfile],
     generator,
     cache: SIDCache,
-    tau: int = 10,
+    tau: int = DEFAULT_TAU,
     ttl_seconds: int = DEFAULT_TTL_SECONDS,
     now: float | None = None,
 ) -> int:

@@ -5,7 +5,7 @@ L1 (coarse code), L2 (coarse + mid), Category (editorial category of the
 top fuzzy-matched candidate), and hallucination (exact-prefix absence
 from the pool, measured on raw generations before fuzzy matching).
 Candidate selection is scored as Hit@1 over 5-way candidate sets with
-either random or category-aligned negatives.
+random and with category-aligned negatives, both in one walk.
 
 All sampling (negatives, bootstrap resamples, fixtures) is seeded and
 per-sample seeds derive from the master seed plus the sample id, so
@@ -23,7 +23,7 @@ import numpy as np
 from .codebook import DEFAULT_LAYER_SIZES, SID, validate_sid
 from .errors import InvalidInputError, RecordParseError
 from .hashing import derive_seed
-from .jsonl import iter_jsonl, write_jsonl
+from .jsonl import iter_jsonl, json_str, write_jsonl
 from .matcher import SIDPrefix, fuzzy_match, match_count
 from .pool import Article, NewsPool, PrefixIndex
 
@@ -135,14 +135,15 @@ def load_samples(path, layer_sizes=DEFAULT_LAYER_SIZES) -> list[EvalSample]:
             if type(history_len) is not int:    # int() would take 2.7, true and "3"
                 raise ValueError(f"history_len must be an integer, got {history_len!r}")
             return EvalSample(
-                sample_id=str(rec["sample_id"]),
+                sample_id=json_str(rec["sample_id"], "sample_id"),
                 intent=str(rec["intent"]),
-                user_id=str(rec["user_id"]),
-                query=str(rec.get("query", "")),
-                target_article_id=str(target["article_id"]),
+                user_id=json_str(rec["user_id"], "user_id"),
+                query=json_str(rec.get("query", ""), "query"),
+                target_article_id=json_str(target["article_id"], "target article_id"),
                 target_sid=validate_sid(target["sid"], layer_sizes, what="target sid"),
                 history_len=history_len,
-                candidates=tuple(str(c) for c in cands) if cands is not None else None,
+                candidates=(tuple(json_str(c, "candidate id") for c in cands)
+                            if cands is not None else None),
             )
         except (KeyError, TypeError, ValueError, InvalidInputError) as e:
             raise RecordParseError(f"bad eval sample: {e}") from e
@@ -350,57 +351,50 @@ NEGATIVE_MODE_ALIGN = "align"
 class OracleChooser:
     """Always picks the target; calibrates the harness upper bound."""
 
-    def choose(self, sample: EvalSample, candidates: list[Article], context) -> str:
-        return sample.target_article_id
+    def choose(self, sample: EvalSample, candidate_sets: list[list[Article]], context) -> list[str]:
+        return [sample.target_article_id] * len(candidate_sets)
 
 
 class UniformChooser:
-    """Uniform pick among the 5 candidates; calibrates the 20% floor."""
+    """Uniform pick among the 5 candidates, a fresh draw per set; calibrates the 20% floor."""
 
     def __init__(self, seed: int = 0):
         self.seed = seed
 
-    def choose(self, sample: EvalSample, candidates: list[Article], context) -> str:
-        rng = np.random.default_rng(derive_seed(self.seed, "uniform-choice", sample.sample_id))
-        return candidates[int(rng.integers(len(candidates)))].id
+    def choose(self, sample: EvalSample, candidate_sets: list[list[Article]], context) -> list[str]:
+        sample_seed = derive_seed(self.seed, "uniform-choice", sample.sample_id)
+        return [c[int(np.random.default_rng(sample_seed).integers(len(c)))].id
+                for c in candidate_sets]
 
 
 class GeneratorChooser:
-    """Picks the candidate whose prefix best agrees with the generator's
-    output: exact (s1,s2) beats s1-only beats no signal; closer s3 wins
-    within an exact (s1,s2) hit. First candidate wins ties.
-
-    Each sample's output is kept, so scoring the same (sample, context)
-    under both negative modes calls the generator once.
-    """
+    """Picks, in each set, the candidate whose prefix best agrees with the
+    generator's output: exact (s1,s2) beats s1-only beats no signal; closer
+    s3 wins within an exact (s1,s2) hit; the first candidate wins ties. The
+    generator runs once per call, however many sets it is given."""
 
     def __init__(self, generator):
         self.generator = generator
-        self._outputs: dict[str, tuple] = {}   # sample_id -> (context, output)
 
-    def choose(self, sample: EvalSample, candidates: list[Article], context) -> str:
-        kept = self._outputs.get(sample.sample_id)
-        if kept is not None and kept[0] is context:
-            output = kept[1]
-        else:
-            output = self.generator.generate(context)
-            self._outputs[sample.sample_id] = (context, output)
-        if not output.prefixes:
-            return candidates[0].id
-        best_id, best_score = candidates[0].id, float("-inf")
-        for art in candidates:
-            score = float("-inf")
-            for p in output.prefixes:
-                if p.s1 == art.sid.s1 and p.s2 == art.sid.s2:
-                    s = 1000.0 - abs(p.s3 - art.sid.s3)
-                elif p.s1 == art.sid.s1:
-                    s = 1.0
-                else:
-                    s = 0.0
-                score = max(score, s)
-            if score > best_score:
-                best_id, best_score = art.id, score
-        return best_id
+    def choose(self, sample: EvalSample, candidate_sets: list[list[Article]], context) -> list[str]:
+        prefixes = self.generator.generate(context).prefixes
+        picks = []
+        for candidates in candidate_sets:
+            best_id, best_score = candidates[0].id, float("-inf")
+            for art in candidates:
+                score = float("-inf")
+                for p in prefixes:
+                    if p.s1 == art.sid.s1 and p.s2 == art.sid.s2:
+                        s = 1000.0 - abs(p.s3 - art.sid.s3)
+                    elif p.s1 == art.sid.s1:
+                        s = 1.0
+                    else:
+                        s = 0.0
+                    score = max(score, s)
+                if score > best_score:
+                    best_id, best_score = art.id, score
+            picks.append(best_id)
+        return picks
 
 
 @dataclass(frozen=True)
@@ -411,7 +405,6 @@ class HitAtOneResult:
     n_evaluated: int
     n_skipped: int
     n_align_fallback: int
-    indicators: tuple[int, ...]
 
 
 def draw_candidates(
@@ -453,17 +446,13 @@ def draw_candidates(
         raise InvalidInputError(f"unknown negative_mode {negative_mode!r}")
 
     exclude = {target.id, *chosen}
-    remaining = 4 - len(chosen)
     # Uniform negatives drawn by index with rejection on the exclusion set.
     n = len(pool.articles)
-    while remaining > 0:
-        idx = int(rng.integers(n))
-        cand = pool.articles[idx].id
-        if cand in exclude:
-            continue
-        chosen.append(cand)
-        exclude.add(cand)
-        remaining -= 1
+    while len(chosen) < 4:
+        cand = pool.articles[int(rng.integers(n))].id
+        if cand not in exclude:
+            chosen.append(cand)
+            exclude.add(cand)
 
     ids = [target.id] + chosen
     order = rng.permutation(5)
@@ -474,41 +463,41 @@ def hit_at_1(
     samples: Sequence[EvalSample],
     chooser,
     pool: NewsPool,
-    negative_mode: str = NEGATIVE_MODE_RAND,
     seed: int = DEFAULT_SEED,
     resamples: int = DEFAULT_RESAMPLES,
     contexts: dict | None = None,
-) -> HitAtOneResult:
-    """Score a chooser on candidate-selection samples.
-
-    Samples whose target is missing from the pool are skipped and counted.
-    A pool of fewer than 5 articles raises InvalidInputError.
-    """
+) -> tuple[HitAtOneResult, HitAtOneResult]:
+    """Score a chooser under random and category-aligned negatives in one walk;
+    returns (rand, align). Each sample makes one chooser.choose(sample,
+    [rand_set, align_set], context) call, which picks once per set; one bootstrap
+    draw gives both CIs. Samples whose target is not in the pool are skipped and
+    counted; a pool of fewer than 5 articles raises InvalidInputError."""
     if len(pool) < 5:
         raise InvalidInputError("hit_at_1 needs a pool of at least 5 articles")
     by_category: dict[str, list[str]] = {}
     for a in pool.articles:
         by_category.setdefault(a.category, []).append(a.id)
 
-    indicators: list[int] = []
+    hits: tuple[list[int], list[int]] = ([], [])    # rand, align
     skipped = 0
     align_fallbacks = 0
     for sample in samples:
         if sample.target_article_id not in pool.by_id:
             skipped += 1
             continue
-        ids, fell_back = draw_candidates(sample, pool, negative_mode, seed, by_category)
+        rand_ids, _ = draw_candidates(sample, pool, NEGATIVE_MODE_RAND, seed)
+        align_ids, fell_back = draw_candidates(sample, pool, NEGATIVE_MODE_ALIGN, seed, by_category)
         align_fallbacks += int(fell_back)
-        candidates = [pool.by_id[i] for i in ids]
         context = contexts.get(sample.sample_id) if contexts else None
-        picked = chooser.choose(sample, candidates, context)
-        indicators.append(int(picked == sample.target_article_id))
+        picks = chooser.choose(
+            sample, [[pool.by_id[i] for i in ids] for ids in (rand_ids, align_ids)], context)
+        for row, picked in zip(hits, picks):
+            row.append(int(picked == sample.target_article_id))
 
-    if not indicators:
-        return HitAtOneResult(0.0, 0.0, 0.0, 0, skipped, align_fallbacks, ())
-    point, lo, hi = bootstrap_ci(indicators, resamples=resamples, seed=seed)
-    return HitAtOneResult(point, lo, hi, len(indicators), skipped, align_fallbacks,
-                          tuple(indicators))
+    n = len(hits[0])
+    cis = bootstrap_cis(hits, resamples=resamples, seed=seed) if n else [(0.0, 0.0, 0.0)] * 2
+    return (HitAtOneResult(*cis[0], n, skipped, 0),
+            HitAtOneResult(*cis[1], n, skipped, align_fallbacks))
 
 
 # -- Partial-match analysis ------------------------------------------------

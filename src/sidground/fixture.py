@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codebook import SID
+from .codebook import DEFAULT_LAYER_SIZES, SID
 from .config import check_fields
 from .errors import FixtureSpecError
 from .evaluation import (
@@ -90,7 +90,7 @@ class FixtureSpec:
     n_users: int = 500
     n_samples: int = 2_000
     n_categories: int = 32
-    layer_sizes: tuple[int, int, int, int] = (32, 64, 128, 1024)
+    layer_sizes: tuple[int, int, int, int] = DEFAULT_LAYER_SIZES
     dim: int = 64
     embeddings: bool = True
     embedding_cap: int = 20_000            # cap on embedding corpus size

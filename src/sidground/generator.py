@@ -19,16 +19,16 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Iterable, Protocol
 
 import numpy as np
 
 from .codebook import DEFAULT_LAYER_SIZES, SIDPrefix, validate_sid
 from .errors import DuplicateKeyError, MissingRecordError, RecordParseError
 from .hashing import derive_seed
-from .jsonl import iter_jsonl, write_jsonl
+from .jsonl import iter_jsonl, json_str, write_jsonl
 from .padr import UserContext
-from .pool import NewsPool
+from .pool import Article, NewsPool
 
 DEFAULT_K = 10
 
@@ -69,12 +69,17 @@ class RandomGenerator:
         return GeneratorOutput(prefixes=prefixes, reason="uniform random prefixes")
 
 
-def popular_prefixes(pool: NewsPool, k: int = DEFAULT_K) -> tuple[SIDPrefix, ...]:
-    """Top-k most frequent (s1,s2,s3) prefixes; frequency ties break by
-    lexicographic prefix order."""
-    counts = Counter(SIDPrefix(a.sid.s1, a.sid.s2, a.sid.s3) for a in pool.articles)
+def _top_prefixes(articles: Iterable[Article], k: int) -> tuple[SIDPrefix, ...]:
+    """Top-k most frequent (s1,s2,s3) prefixes of `articles`; frequency
+    ties break by lexicographic prefix order."""
+    counts = Counter(SIDPrefix(a.sid.s1, a.sid.s2, a.sid.s3) for a in articles)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return tuple(p for p, _ in ranked[:k])
+
+
+def popular_prefixes(pool: NewsPool, k: int = DEFAULT_K) -> tuple[SIDPrefix, ...]:
+    """Top-k most frequent (s1,s2,s3) prefixes of the pool, as _top_prefixes."""
+    return _top_prefixes(pool.articles, k)
 
 
 class PopularGenerator:
@@ -119,14 +124,10 @@ class HistPopGenerator:
 def build_category_map(pool: NewsPool, per_category: int = DEFAULT_K) -> dict[str, tuple[SIDPrefix, ...]]:
     """Dominant prefixes per editorial category, ranked by in-category
     frequency (ties lexicographic)."""
-    counts: dict[str, Counter[SIDPrefix]] = {}
+    by_category: dict[str, list[Article]] = {}
     for a in pool.articles:
-        counts.setdefault(a.category, Counter())[SIDPrefix(a.sid.s1, a.sid.s2, a.sid.s3)] += 1
-    out = {}
-    for cat, counter in counts.items():
-        ranked = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
-        out[cat] = tuple(p for p, _ in ranked[:per_category])
-    return out
+        by_category.setdefault(a.category, []).append(a)
+    return {cat: _top_prefixes(arts, per_category) for cat, arts in by_category.items()}
 
 
 class ProfileCategoryGenerator:
@@ -204,7 +205,7 @@ def load_replay(path, layer_sizes=DEFAULT_LAYER_SIZES) -> ReplayGenerator:
 
     def parse(rec) -> ReplayRecord:
         return ReplayRecord(
-            sample_id=str(rec["sample_id"]),
+            sample_id=json_str(rec["sample_id"], "sample_id"),
             prefixes=tuple(validate_sid(p, layer_sizes[:3], what="replay prefix")
                            for p in rec["prefixes"]),
             reason=str(rec.get("reason", "")),

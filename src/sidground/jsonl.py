@@ -32,6 +32,13 @@ def _parse_object(rec, parse: Callable[[dict], T], where: str) -> T:
         raise RecordParseError(f"{where}: bad record: {e}") from e
 
 
+def json_str(value, what: str) -> str:
+    """`value` if it is a JSON string; a null or a number raises ValueError."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def iter_jsonl(path, parse: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
     """Yield (line number, parse(record)) for each non-blank line; errors
     as in _parse_object with "line N", bad JSON a RecordParseError."""

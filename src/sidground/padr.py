@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 
 from .codebook import DEFAULT_LAYER_SIZES, SID, validate_sid
 from .errors import InvalidInputError, RecordParseError
-from .jsonl import iter_jsonl
+from .jsonl import iter_jsonl, json_str
 
 DEFAULT_TAU = 10
 HISTORY_RENDER_LIMIT = 20
@@ -223,7 +223,7 @@ def profile_from_record(rec: dict) -> UserProfile:
     activity = rec.get("activity", {})
     fmt = rec.get("format_affinity", {})
     return UserProfile(
-        user_id=str(rec["user_id"]),
+        user_id=json_str(rec["user_id"], "user_id"),
         demographics=Demographics(
             age_range=str(demo.get("age_range", "")),
             gender=str(demo.get("gender", "")),
@@ -273,7 +273,7 @@ def history_from_record(rec: dict, layer_sizes) -> tuple[str, BehaviorHistory]:
         )
         for c in rec.get("clicks", ())
     )
-    return str(rec["user_id"]), BehaviorHistory(clicks=clicks)
+    return json_str(rec["user_id"], "user_id"), BehaviorHistory(clicks=clicks)
 
 
 def history_to_record(user_id: str, h: BehaviorHistory) -> dict:

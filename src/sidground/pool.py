@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from .codebook import SID, DEFAULT_LAYER_SIZES, validate_sid
 from .errors import DuplicateKeyError, RecordParseError
-from .jsonl import iter_jsonl, write_jsonl
+from .jsonl import iter_jsonl, json_str, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -212,7 +212,7 @@ def load_snapshot(path, layer_sizes=DEFAULT_LAYER_SIZES) -> NewsPool:
         if published_at <= 0:
             raise RecordParseError("published_at must be > 0")
         return Article(
-            id=str(rec["id"]),
+            id=json_str(rec["id"], "id"),
             title=str(rec.get("title", "")),
             category=str(rec.get("category", "")),
             tags=tuple(str(t) for t in rec.get("tags", ())),

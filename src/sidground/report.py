@@ -241,25 +241,19 @@ def run_eval(
     cs_samples = [s for s in samples if s.intent == INTENT_CANDIDATE_SELECTION]
     hit_rand = hit_align = None
     if cs_samples:
-        chooser = GeneratorChooser(generator)
-        hit_rand = hit_at_1(cs_samples, chooser, pool, "rand", seed=seed,
-                            resamples=resamples, contexts=contexts)
-        hit_align = hit_at_1(cs_samples, chooser, pool, "align", seed=seed,
-                             resamples=resamples, contexts=contexts)
+        hit_rand, hit_align = hit_at_1(cs_samples, GeneratorChooser(generator), pool, seed=seed,
+                                       resamples=resamples, contexts=contexts)
 
     intent_counts: dict[str, int] = {}
     for s in samples:
         intent_counts[s.intent] = intent_counts.get(s.intent, 0) + 1
 
     per_task = []
-    if hit_rand and hit_rand.n_evaluated:
-        per_task.append({"task": "candidate_selection (rand)", "n": hit_rand.n_evaluated,
-                         "metric": "hit@1", "value": hit_rand.rate,
-                         "ci_lo": hit_rand.ci_lo, "ci_hi": hit_rand.ci_hi})
-    if hit_align and hit_align.n_evaluated:
-        per_task.append({"task": "candidate_selection (align)", "n": hit_align.n_evaluated,
-                         "metric": "hit@1", "value": hit_align.rate,
-                         "ci_lo": hit_align.ci_lo, "ci_hi": hit_align.ci_hi})
+    for mode, h in (("rand", hit_rand), ("align", hit_align)):
+        if h and h.n_evaluated:
+            per_task.append({"task": f"candidate_selection ({mode})", "n": h.n_evaluated,
+                             "metric": "hit@1", "value": h.rate,
+                             "ci_lo": h.ci_lo, "ci_hi": h.ci_hi})
     by_intent_l1: dict[str, list[int]] = {}
     for s, v in zip(open_samples, l1_vals):
         by_intent_l1.setdefault(s.intent, []).append(v)

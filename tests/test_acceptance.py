@@ -238,10 +238,9 @@ def test_criterion_04_harness_calibration(calibration_fixture):
     assert lo <= expected <= hi, f"sum p^2 {expected:.5f} outside CI [{lo:.5f}, {hi:.5f}]"
 
     cs = [s for s in fx.samples if s.intent == "candidate_selection"]
-    uniform = hit_at_1(cs, UniformChooser(seed=3), fx.pool, "rand",
-                       seed=42, resamples=10_000)
+    uniform, _ = hit_at_1(cs, UniformChooser(seed=3), fx.pool, seed=42, resamples=10_000)
     assert uniform.ci_lo <= 0.20 <= uniform.ci_hi
-    oracle = hit_at_1(cs, OracleChooser(), fx.pool, "rand", seed=42, resamples=1_000)
+    oracle, _ = hit_at_1(cs, OracleChooser(), fx.pool, seed=42, resamples=1_000)
     assert oracle.rate == 1.0
 
 

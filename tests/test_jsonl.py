@@ -38,23 +38,24 @@ def cache_entry(i, sid=(1, 2, 3)):
     return {"ctx_hash": i, "prefixes": [list(sid)], "reason": "", "ts": 1.0, "ttl_seconds": 10}
 
 
-# name -> (loader, record(i, sid=...), a required field, out-of-range SID, lines before)
+# name -> (loader, record(i, sid=...), a required field, an id field that must be a
+# JSON string, out-of-range SID, lines before)
 LOADERS = {
-    "raw_articles": (load_snapshot, article, "published_at", (32, 0, 0, 0), []),
-    "snapshot": (load_snapshot, article, "id", (0, 64, 0, 0),
+    "raw_articles": (load_snapshot, article, "published_at", "id", (32, 0, 0, 0), []),
+    "snapshot": (load_snapshot, article, "id", "id", (0, 64, 0, 0),
                  [{"snapshot_meta": {"version": 3, "as_of": 0.0}}]),
-    "profiles": (load_profiles, lambda i: {"user_id": f"u{i}"}, "user_id", None, []),
-    "histories": (load_histories, history, "user_id", (32, 0, 0, 0), []),
-    "samples": (load_samples, sample, "intent", (0, 0, 128, 0), []),
-    "replay": (load_replay, replay, "prefixes", (32, 0, 0), []),
+    "profiles": (load_profiles, lambda i: {"user_id": f"u{i}"}, "user_id", "user_id", None, []),
+    "histories": (load_histories, history, "user_id", "user_id", (32, 0, 0, 0), []),
+    "samples": (load_samples, sample, "intent", "user_id", (0, 0, 128, 0), []),
+    "replay": (load_replay, replay, "prefixes", "sample_id", (32, 0, 0), []),
     "embeddings": (load_embedding_corpus, lambda i: {"id": f"x{i}", "embedding": [1.0, 2.0]},
-                   "embedding", None, []),
-    "cache": (lambda path: SIDCache().load(path), cache_entry, "ts", (0, 64, 0), []),
+                   "embedding", None, None, []),
+    "cache": (lambda path: SIDCache().load(path), cache_entry, "ts", None, (0, 64, 0), []),
 }
 
 
 def bad_line(case, name):
-    _, record, field, oor, _ = LOADERS[name]
+    _, record, field, id_field, oor, _ = LOADERS[name]
     if case == "bad_json":
         return "{oops"
     if case == "not_object":
@@ -63,20 +64,22 @@ def bad_line(case, name):
         rec = record(1)
         del rec[field]
         return json.dumps(rec)
+    if case == "null_id":      # str() would load it as the id 'None'
+        return json.dumps({**record(1), id_field: None})
     return json.dumps(record(1, sid=oor))
 
 
 CASES = [
     (name, case)
-    for name in LOADERS
-    for case in ("bad_json", "not_object", "missing_field", "out_of_range_sid")
-    if case != "out_of_range_sid" or LOADERS[name][3] is not None
+    for name, (_, _, _, id_field, oor, _) in LOADERS.items()
+    for case in ("bad_json", "not_object", "missing_field", "null_id", "out_of_range_sid")
+    if not (case == "null_id" and id_field is None or case == "out_of_range_sid" and oor is None)
 ]
 
 
 @pytest.mark.parametrize("name,case", CASES)
 def test_bad_line_raises_typed_error_naming_line(tmp_path, name, case):
-    load, record, _, _, before = LOADERS[name]
+    load, record, _, _, _, before = LOADERS[name]
     lines = [json.dumps(r) for r in before] + [json.dumps(record(0)), "", bad_line(case, name)]
     path = tmp_path / "in.jsonl"
     path.write_text("\n".join(lines) + "\n")
@@ -88,7 +91,7 @@ def test_bad_line_raises_typed_error_naming_line(tmp_path, name, case):
 
 @pytest.mark.parametrize("name", list(LOADERS))
 def test_blank_lines_skipped(tmp_path, name):
-    load, record, _, _, before = LOADERS[name]
+    load, record, _, _, _, before = LOADERS[name]
     lines = [json.dumps(r) for r in before] + ["", json.dumps(record(0)), "   ", ""]
     path = tmp_path / "in.jsonl"
     path.write_text("\n".join(lines) + "\n")
