@@ -40,7 +40,7 @@ from .evaluation import load_samples
 from .fixture import FixtureSpec, make_synthetic_fixture, write_fixture
 from .generator import from_spec as generator_from_spec
 from .generator import PoolSampledGenerator
-from .jsonl import read_json, write_jsonl
+from .jsonl import json_str, read_json, write_jsonl
 from .matcher import fuzzy_match, grid_search_delta
 from .padr import (
     EMPTY_HISTORY,
@@ -331,9 +331,9 @@ def _context_from_record(req: dict, layer_sizes, tau: int):
     )
     tau = check_fields(Config, {"tau": req.get("tau", tau)}, "context file",
                        RecordParseError)["tau"]
-    ctx = route(profile, history, str(req.get("query", "")), tau=tau)
+    ctx = route(profile, history, json_str(req.get("query", ""), "query"), tau=tau)
     if req.get("sample_id") is not None:
-        ctx = dc_replace(ctx, sample_id=str(req["sample_id"]))
+        ctx = dc_replace(ctx, sample_id=json_str(req["sample_id"], "sample_id"))
     return ctx
 
 

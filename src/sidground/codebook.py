@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError, RecordParseError, SidRangeError
-from .jsonl import iter_jsonl, read_json
+from .jsonl import iter_jsonl, json_str, read_json
 
 DEFAULT_LAYER_SIZES = (32, 64, 128, 1024)
 
@@ -350,7 +350,7 @@ def load_embedding_corpus(path) -> tuple[list[str], np.ndarray]:
         dim = len(rows[0]) if rows else len(vec)
         if len(vec) != dim:
             raise RecordParseError(f"embedding dimension {len(vec)} != {dim}")
-        return str(rec["id"]), vec
+        return json_str(rec["id"], "id"), vec
 
     for _, (aid, vec) in iter_jsonl(path, parse):
         ids.append(aid)

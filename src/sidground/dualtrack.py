@@ -3,7 +3,10 @@
 The fast track never waits on a generator. It hashes the routed context,
 looks up cached SID prefixes, fuzzy-matches them against the current
 snapshot, and ranks; anything that goes wrong descends a four-level
-cascade that terminates at the pool's most recent articles. The enhance
+cascade that terminates at the pool's most recent articles. A cache hit
+keeps its match and the time-free half of its ranking as a hit plan on
+the snapshot's index, so a context that returns to the same snapshot
+recomputes only freshness and the final sort. The enhance
 track runs generators on a bounded worker pool off the request path and
 installs fresh cache entries (last writer wins per context hash).
 
@@ -37,9 +40,9 @@ from .errors import EmptyPoolError, ConsistencyError, InvalidInputError
 from .hashing import fnv1a_64
 from .jsonl import iter_jsonl
 from .matcher import MatchResult, SIDPrefix, fuzzy_match
-from .padr import DEFAULT_TAU, UserContext, UserProfile, preset_queries
+from .padr import DEFAULT_TAU, BehaviorHistory, UserContext, UserProfile, preset_queries
 from .pool import NewsPool, PrefixIndex
-from .ranking import RankedCandidate, rank
+from .ranking import RankedCandidate, Scored, rank, score_candidates
 
 logger = logging.getLogger(__name__)
 
@@ -202,6 +205,28 @@ def _as_matches(articles) -> list[MatchResult]:
     return [MatchResult(article_id=a.id, score=1.0, s3_distance=0) for a in articles]
 
 
+@dataclass(frozen=True, eq=False)
+class _HitPlan:
+    """A cache hit's level-1 match of one context on one snapshot, scored
+    up to the `now`-dependent step (scored is None when fewer than
+    MIN_LEVEL1_RESULTS articles matched). It serves a later request only
+    if that request meets the same entry, pool, profile and history
+    objects with equal delta and k; every other request rebuilds it."""
+
+    entry: CacheEntry
+    pool: NewsPool
+    profile: UserProfile
+    history: BehaviorHistory
+    delta: int
+    k: int
+    scored: Optional[Scored]
+
+    def serves(self, entry: CacheEntry, req: "_Request", delta: int) -> bool:
+        return (self.entry is entry and self.pool is req.pool and self.profile is req.profile
+                and self.history is req.context.history and self.delta == delta
+                and self.k == req.k)
+
+
 class _Request:
     """One serve call: what it ranks for, its stage timings from its
     start, and the one place its ServeResponse is assembled."""
@@ -215,6 +240,7 @@ class _Request:
         self.t0 = time.perf_counter()
         self.lookup_ms = 0.0
         self.match_ms = 0.0
+        self.rank_ms = 0.0
 
     def match(self, prefixes: Iterable[SIDPrefix], index: PrefixIndex, delta: int) -> list[MatchResult]:
         t = time.perf_counter()
@@ -222,7 +248,18 @@ class _Request:
         self.match_ms += (time.perf_counter() - t) * 1000.0
         return merged
 
-    def respond(self, candidates: list[MatchResult], served_from: str) -> ServeResponse:
+    def plan(self, entry: CacheEntry, index: PrefixIndex, delta: int) -> _HitPlan:
+        """Match the entry's prefixes and score the result free of `now`."""
+        merged = self.match(entry.prefixes, index, delta)
+        scored = None
+        if len(merged) >= MIN_LEVEL1_RESULTS:
+            t = time.perf_counter()
+            scored = score_candidates(merged, self.pool, self.profile, self.context.history)
+            self.rank_ms += (time.perf_counter() - t) * 1000.0
+        return _HitPlan(entry, self.pool, self.profile, self.context.history, delta, self.k,
+                        scored)
+
+    def respond(self, candidates: list[MatchResult] | Scored, served_from: str) -> ServeResponse:
         t_rank = time.perf_counter()
         ranked = rank(candidates, self.pool, self.profile, now=self.now, lam=self.lam,
                       history=self.context.history, k=self.k)
@@ -233,7 +270,7 @@ class _Request:
             latency=LatencyBreakdown(
                 lookup_ms=self.lookup_ms,
                 match_ms=self.match_ms,
-                rank_ms=(t_end - t_rank) * 1000.0,
+                rank_ms=self.rank_ms + (t_end - t_rank) * 1000.0,
                 total_ms=(t_end - self.t0) * 1000.0,
             ),
             pool_version=self.pool.version,
@@ -278,6 +315,11 @@ def fast_track(
 
     Cache hit: fuzzy-match the cached prefixes and rank; fewer than
     MIN_LEVEL1_RESULTS matches descends fallback_cascade from level 2.
+    The match and the `now`-free half of ranking are kept as a hit plan
+    in index.hit_plans, one per ctx_hash, so a returning context on the
+    same snapshot only recomputes freshness and sorts (match_ms reads 0).
+    A plan is rebuilt when the entry, pool, profile or history object
+    differs, or delta or k does.
     Cache miss: schedule the enhance track (if a scheduler is wired) and
     serve fallback_cascade from level 3 immediately. The whole request
     reads one (pool, index) snapshot pair.
@@ -289,7 +331,8 @@ def fast_track(
     if len(pool) == 0:
         raise EmptyPoolError("cannot serve from an empty pool")
     req = _Request(context, pool, profile, k, lam, now)
-    entry = cache.get(ctx_hash(context), req.now)
+    key = ctx_hash(context)
+    entry = cache.get(key, req.now)
     req.lookup_ms = (time.perf_counter() - req.t0) * 1000.0
 
     if entry is None:
@@ -297,10 +340,14 @@ def fast_track(
             schedule_enhance(context)
         return fallback_cascade(req, index)
 
-    merged = req.match(entry.prefixes, index, delta)
-    if len(merged) >= MIN_LEVEL1_RESULTS:
-        return req.respond(merged, SERVED_CACHE)
-    return fallback_cascade(req, index, entry.prefixes, delta)
+    # No lock: threads that rebuild one key at once each serve from their
+    # own plan, and whichever is stored last is as valid as the other.
+    plan = index.hit_plans.get(key)
+    if plan is None or not plan.serves(entry, req, delta):
+        plan = index.hit_plans[key] = req.plan(entry, index, delta)
+    if plan.scored is None:
+        return fallback_cascade(req, index, entry.prefixes, delta)
+    return req.respond(plan.scored, SERVED_CACHE)
 
 
 def enhance_track(

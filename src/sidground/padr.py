@@ -264,7 +264,7 @@ def history_from_record(rec: dict, layer_sizes) -> tuple[str, BehaviorHistory]:
     """Parse a history record; click SIDs are range-checked against layer_sizes."""
     clicks = tuple(
         Click(
-            article_id=str(c["article_id"]),
+            article_id=json_str(c["article_id"], "article_id"),
             sid=validate_sid(c["sid"], layer_sizes, what="click sid"),
             timestamp=float(c["timestamp"]),
             dwell_seconds=float(c.get("dwell_seconds", 0.0)),

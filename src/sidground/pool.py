@@ -111,12 +111,15 @@ class PrefixIndex:
     sorted ascending by (s3, id); ids are unique, so published_at never
     decides the order. The triple carries the recency the matcher's
     tie-break needs. Holds a reference to its source pool for callers
-    that resolve other article metadata.
+    that resolve other article metadata. hit_plans belongs to the serving
+    fast track (dualtrack): its cache-hit plans for this snapshot, keyed
+    by ctx_hash, dropped together with the index.
     """
 
     buckets: dict[tuple[int, int], list[tuple[int, str, float]]]
     built_from: int
     pool: NewsPool = field(repr=False)
+    hit_plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     def bucket_window(self, s1: int, s2: int, s3_lo: int, s3_hi: int) -> list[tuple[int, str, float]]:
         """Entries with s3 in [s3_lo, s3_hi] from one bucket (may be empty)."""

@@ -12,11 +12,18 @@ relevance against recency. The 24h freshness half-life mirrors how fast
 the pool itself turns over. Normalizing interest by the in-candidate-set
 maximum keeps final scores in [0, 1] and makes the lam=0 ordering
 scale-free in match_score.
+
+Only freshness depends on the request time, so ranking is two steps:
+score_candidates computes points and relevance once per candidate set,
+and rank adds freshness and sorts for one `now`. rank() given match
+results runs both; given a Scored it runs only the second, so a serving
+path that meets the same candidate set again repeats only that step.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, InvalidInputError
@@ -80,8 +87,51 @@ def freshness(published_at: float, now: float) -> float:
     return math.exp(-(age_hours if age_hours > 0.0 else 0.0) / 24.0)
 
 
-def rank(
+@dataclass(frozen=True, slots=True)
+class Scored:
+    """The half of rank() that does not depend on `now`, for a set of
+    candidates: one column per field, in candidate order. Columns are
+    arrays (plus one tuple of ids) so that a hit plan holding them stays
+    small. len() is the number of candidates."""
+
+    ids: tuple[str, ...]
+    scores: array            # match scores
+    published_at: array
+    points: array            # interest points
+    relevance: array         # score * (1 + points) / (1 + max points)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def score_candidates(
     candidates: list[MatchResult],
+    pool: NewsPool,
+    profile: UserProfile,
+    history: BehaviorHistory | None = None,
+) -> Scored:
+    """rank()'s first step: check pool membership and score interest and
+    relevance. Nothing here depends on the request time."""
+    by_id = pool.by_id
+    missing = [c.article_id for c in candidates if c.article_id not in by_id]
+    if missing:
+        raise ConsistencyError(f"candidates reference articles not in pool: {missing[:5]}")
+    arts = [by_id[c.article_id] for c in candidates]
+    keywords = profile_keywords(profile, history, pool)
+    categories = set(profile.top_categories())
+    points = [_points(a, categories, keywords) for a in arts]
+    denom = 1 + max(points, default=0)
+    return Scored(
+        ids=tuple(c.article_id for c in candidates),
+        scores=array("d", [c.score for c in candidates]),
+        published_at=array("d", [a.published_at for a in arts]),
+        points=array("l", points),
+        relevance=array("d", [c.score * (1 + pts) / denom for c, pts in zip(candidates, points)]),
+    )
+
+
+def rank(
+    candidates: list[MatchResult] | Scored,
     pool: NewsPool,
     profile: UserProfile,
     now: float,
@@ -96,27 +146,25 @@ def rank(
     the plain tuple (-final, -match_score, -published_at, id, ...), whose
     natural order is that chain. With k, RankedCandidate is built for the
     top k rows only: rank(..., k=k) == rank(...)[:k].
+
+    Match results are first scored with score_candidates. A Scored that
+    score_candidates made for the same pool, profile and history skips
+    that step: only freshness, the final score and the sort run, and
+    pool, profile and history are not read.
     """
     if not (0.0 <= lam <= 1.0):
         raise InvalidInputError("lambda must be in [0, 1]")
     if k is not None and k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
-    by_id = pool.by_id
-    missing = [c.article_id for c in candidates if c.article_id not in by_id]
-    if missing:
-        raise ConsistencyError(f"candidates reference articles not in pool: {missing[:5]}")
-    arts = [by_id[c.article_id] for c in candidates]
-    keywords = profile_keywords(profile, history, pool)
-    categories = set(profile.top_categories())
-    points = [_points(a, categories, keywords) for a in arts]
-    denom = 1 + max(points, default=0)
-
+    if not isinstance(candidates, Scored):
+        candidates = score_candidates(candidates, pool, profile, history)
+    c = candidates
+    keep = 1.0 - lam
     rows = []
-    for (aid, score, _), art, pts in zip(candidates, arts, points):
-        relevance = score * (1 + pts) / denom
-        fresh = freshness(art.published_at, now)
-        final = (1.0 - lam) * relevance + lam * fresh
-        rows.append((-final, -score, -art.published_at, aid, pts, fresh))
+    for aid, score, pub, pts, relevance in zip(c.ids, c.scores, c.published_at, c.points,
+                                               c.relevance):
+        fresh = freshness(pub, now)
+        rows.append((-(keep * relevance + lam * fresh), -score, -pub, aid, pts, fresh))
     rows.sort()
     return [
         RankedCandidate(article_id=aid, match_score=-neg_score, interest_points=pts,

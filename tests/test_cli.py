@@ -110,6 +110,11 @@ BAD_INPUTS = {
                                "tau from the context file"),
     "gen_context_bool_tau": ('{"profile": {"user_id": "u"}, "tau": true}', _GEN,
                              "tau from the context file"),
+    # str() would route the query 'None' and name the sample '7'.
+    "gen_context_null_query": ('{"profile": {"user_id": "u"}, "query": null}', _GEN,
+                               "query must be a string"),
+    "gen_context_int_sample_id": ('{"profile": {"user_id": "u"}, "sample_id": 7}', _GEN,
+                                  "sample_id must be a string"),
     "spec_bad_json": ("{nope", _SPEC, "bad JSON"),
     "spec_string_int": ('{"n_articles": "x"}', _SPEC, "n_articles"),
     "spec_short_layer_sizes": ('{"layer_sizes": [1,2]}', _SPEC, "layer_sizes"),

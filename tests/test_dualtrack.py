@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import json
 import logging
 import random
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -25,9 +27,11 @@ from sidground.dualtrack import (
 from sidground.errors import EmptyPoolError, ConsistencyError, SidRangeError
 from sidground.generator import GeneratorOutput, PoolSampledGenerator
 from sidground.hashing import fnv1a_64
-from sidground.matcher import MatchResult, SIDPrefix
-from sidground.padr import EMPTY_HISTORY, UserProfile, route
+from sidground.matcher import MatchResult, SIDPrefix, fuzzy_match
+from sidground.padr import EMPTY_HISTORY, BehaviorHistory, Click, UserProfile, route
 from sidground.pool import Article, NewsPool, build_index, refresh
+from sidground.ranking import rank
+from sidground.server import RecommendService
 
 NOW = 1_700_000_000.0
 
@@ -273,6 +277,214 @@ class TestServingGolden:
                           "fallback_level_3": 558, "fallback_level_4": 27}
         assert digest.hexdigest() == (
             "e5d9464efcecd1bc2a2cae9ab408fd763cb474a842b4d04490dfeecbe33e7262")
+
+
+def fresh_rank(c, profile, entry, index, pool, now, lam=0.1, k=10, delta=5):
+    """What a cache hit must reply: a fresh match, merge and rank."""
+    merged = merge_matches(fuzzy_match(p, index, delta=delta, k=k) for p in entry.prefixes)
+    return tuple(rank(merged, pool, profile, now=now, lam=lam, history=c.history, k=k))
+
+
+class TestHitPlans:
+    """A returning context reuses its hit plan only on the same entry, pool,
+    profile and history objects with equal delta and k. Each test fails if
+    one of those checks is dropped."""
+
+    def std_world(self, fx, n=60):
+        profiles = [fx.profiles[u] for u in sorted(fx.profiles)][:n]
+        contexts = [(route(p, fx.histories.get(p.user_id, EMPTY_HISTORY), "recommend news",
+                           tau=10), p) for p in profiles]
+        cache = SIDCache()
+        gen = PoolSampledGenerator(fx.pool, seed=31)
+        for c, _ in contexts:
+            enhance_track(c, gen, cache, now=NOW)
+        return cache, build_index(fx.pool), contexts
+
+    def test_replies_equal_a_fresh_rank_across_reuse(self, std_fixture):
+        fx = std_fixture
+        cache, index, contexts = self.std_world(fx)
+        plans = {}
+        for now, lam, k in ((NOW, 0.1, 10), (NOW + 3_600, 0.5, 10), (NOW + 36_000, 0.9, 3)):
+            reused = 0
+            for c, profile in contexts:
+                resp = fast_track(c, cache, index, fx.pool, profile, k=k, lam=lam, now=now)
+                if resp.served_from != "cache":
+                    continue
+                key = ctx_hash(c)
+                entry = cache.get(key, now)
+                assert resp.articles == fresh_rank(c, profile, entry, index, fx.pool, now, lam, k)
+                reused += index.hit_plans[key] is plans.get(key)
+                assert (resp.latency.match_ms == 0.0) == (index.hit_plans[key] is plans.get(key))
+                plans[key] = index.hit_plans[key]
+            # the second round reuses every plan of the first; the third has another k
+            assert reused == (len(plans) if k == 10 and now > NOW else 0)
+        assert len(plans) > 20
+
+    def test_replaced_entry_rebuilds(self, std_fixture):
+        fx = std_fixture
+        cache, index, contexts = self.std_world(fx)
+        (c, profile), (other, _) = contexts[0], contexts[1]
+        assert fast_track(c, cache, index, fx.pool, profile, now=NOW).served_from == "cache"
+        # A later enhance run installs other prefixes for the same context.
+        enhance_track(c, StaticGenerator(cache.get(ctx_hash(other), NOW).prefixes), cache,
+                      now=NOW + 60)
+        entry = cache.get(ctx_hash(c), NOW + 120)
+        resp = fast_track(c, cache, index, fx.pool, profile, now=NOW + 120)
+        assert resp.served_from == "cache"
+        assert resp.articles == fresh_rank(c, profile, entry, index, fx.pool, NOW + 120)
+        assert index.hit_plans[ctx_hash(c)].entry is entry
+
+    def test_other_pool_object_rebuilds(self, std_fixture):
+        # Same version, same SIDs, so the index still fits, but no category
+        # or tag of the first pool: every interest point changes.
+        fx = std_fixture
+        cache, index, contexts = self.std_world(fx)
+        plain = NewsPool([Article(id=a.id, title=a.title, category="", tags=(),
+                                  published_at=a.published_at, sid=a.sid)
+                          for a in fx.pool.articles], version=fx.pool.version)
+        c, profile = contexts[0]
+        for pool in (fx.pool, plain):
+            resp = fast_track(c, cache, index, pool, profile, now=NOW)
+            assert resp.served_from == "cache"
+            assert resp.articles == fresh_rank(c, profile, cache.get(ctx_hash(c), NOW),
+                                               index, pool, NOW)
+        assert {a.interest_points for a in resp.articles} == {0}
+
+    def test_other_k_or_delta_rebuilds(self, std_fixture):
+        fx = std_fixture
+        cache, index, contexts = self.std_world(fx)
+        c, profile = contexts[0]
+        key = ctx_hash(c)
+        entry = cache.get(key, NOW)
+        for delta, k in ((5, 10), (5, 4), (1, 4), (1, 4)):
+            before = index.hit_plans.get(key)
+            resp = fast_track(c, cache, index, fx.pool, profile, delta=delta, k=k, now=NOW)
+            plan = index.hit_plans[key]
+            assert (plan is before) == (before is not None and (before.delta, before.k) == (delta, k))
+            if resp.served_from == "cache":
+                assert resp.articles == fresh_rank(c, profile, entry, index, fx.pool, NOW,
+                                                   k=k, delta=delta)
+            assert (plan.delta, plan.k) == (delta, k)
+
+    def small_world(self):
+        # Six candidates in one bucket, alternately tagged alpha and beta,
+        # and two click targets elsewhere carrying one tag each.
+        cands = [Article(id=f"c{i}", title="", category="technology",
+                         tags=("alpha",) if i % 2 else ("beta",),
+                         published_at=NOW - 3600.0 * i, sid=SID(1, 1, 10, 0)) for i in range(6)]
+        targets = [Article(id=aid, title="", category="x", tags=(tag,), published_at=NOW,
+                           sid=SID(9, 9, 0, 0)) for aid, tag in (("ta", "alpha"), ("tb", "beta"))]
+        pool = NewsPool(cands + targets)
+        return pool, build_index(pool)
+
+    def test_other_profile_object_rebuilds(self):
+        pool, index = self.small_world()
+        c = ctx()
+        cache = SIDCache()
+        cache.put(entry_for(c, [SIDPrefix(1, 1, 10)]))
+        sports = UserProfile(user_id="u1", declared_interests=("sports",))
+        for profile in (c.profile, sports):
+            resp = fast_track(c, cache, index, pool, profile, now=NOW)
+            assert resp.articles == fresh_rank(c, profile, cache.get(ctx_hash(c), NOW),
+                                               index, pool, NOW)
+            assert index.hit_plans[ctx_hash(c)].profile is profile
+        assert {a.interest_points for a in resp.articles} == {0}
+
+    def test_other_history_object_rebuilds(self):
+        # The two histories render alike (a click's article id is not
+        # rendered), so both contexts share one ctx_hash, but their clicks
+        # resolve to articles with different tags.
+        pool, index = self.small_world()
+        profile = UserProfile(user_id="u1", declared_interests=("technology",))
+        histories = [BehaviorHistory(clicks=(Click(aid, SID(9, 9, 0, 0), timestamp=NOW - 60,
+                                                   title="t", category="x"),))
+                     for aid in ("ta", "tb")]
+        contexts = [route(profile, h, "q", tau=10) for h in histories]
+        assert ctx_hash(contexts[0]) == ctx_hash(contexts[1])
+        cache = SIDCache()
+        cache.put(entry_for(contexts[0], [SIDPrefix(1, 1, 10)]))
+        tops = []
+        for c in contexts:
+            resp = fast_track(c, cache, index, pool, profile, lam=0.0, now=NOW)
+            assert resp.articles == fresh_rank(c, profile, cache.get(ctx_hash(c), NOW),
+                                               index, pool, NOW, lam=0.0)
+            tops.append(resp.articles[0].article_id)
+        assert tops == ["c1", "c0"]      # the newest alpha, then the newest beta article
+
+    def test_unknown_user_rebuilds_per_request(self, std_fixture):
+        fx = std_fixture
+        service = RecommendService(fx.pool, fx.profiles, StaticGenerator([]),
+                                   histories=fx.histories, enhance_workers=1)
+        try:
+            stranger = route(UserProfile(user_id="stranger"), EMPTY_HISTORY, "q",
+                             tau=service.tau)
+            known = fx.profiles[sorted(fx.profiles)[0]]
+            prefixes = PoolSampledGenerator(fx.pool, seed=31).generate(
+                route(known, EMPTY_HISTORY, "q", tau=service.tau)).prefixes
+            service.cache.put(CacheEntry(ctx_hash(stranger), tuple(prefixes), "", time.time()))
+            _, index = service.snapshot
+            seen = []
+            for _ in range(2):
+                assert service.recommend("stranger", "q").served_from == "cache"
+                seen.append(index.hit_plans[ctx_hash(stranger)])
+            # Each request made its own UserProfile, so neither reused a plan.
+            assert seen[0] is not seen[1] and seen[0].profile is not seen[1].profile
+            assert len(index.hit_plans) == 1
+        finally:
+            service.close()
+
+    def test_too_few_matches_plan_still_descends_to_level2(self):
+        pool = NewsPool([art(0, s3=10), art(1, s3=12), art(2, s3=18)])
+        index = build_index(pool)
+        cache = SIDCache()
+        c = ctx()
+        cache.put(entry_for(c, [SIDPrefix(1, 1, 10)]))
+        replies = [fast_track(c, cache, index, pool, c.profile, now=NOW + i * 600)
+                   for i in range(2)]
+        plan = index.hit_plans[ctx_hash(c)]
+        assert plan.scored is None
+        assert [r.served_from for r in replies] == ["fallback_level_2"] * 2
+        assert {a.article_id for a in replies[1].articles} == {"d000", "d001", "d002"}
+
+    def test_at_most_one_plan_per_served_hit_context(self, std_fixture):
+        fx = std_fixture
+        cache, index, contexts = self.std_world(fx, n=40)
+        rng = random.Random(3)
+        misses = [(route(p, EMPTY_HISTORY, "what happened today", tau=10), p)
+                  for p in list(fx.profiles.values())[40:60]]
+        stream = [rng.choice(contexts + misses) for _ in range(300)]
+        hit_keys = set()
+        for i, (c, profile) in enumerate(stream):
+            k = (10, 5)[i % 2]
+            fast_track(c, cache, index, fx.pool, profile, k=k, now=NOW)
+            if cache.get(ctx_hash(c), NOW) is not None:
+                hit_keys.add(ctx_hash(c))
+        assert set(index.hit_plans) == hit_keys
+        assert len(index.hit_plans) <= len({ctx_hash(c) for c, _ in stream})
+
+    def test_refresh_drops_old_plans_with_their_snapshot(self, std_fixture):
+        fx = std_fixture
+        own = NewsPool(fx.pool.articles, version=fx.pool.version, as_of=fx.pool.as_of)
+        service = RecommendService(own, fx.profiles, StaticGenerator([]),
+                                   histories=fx.histories, enhance_workers=1)
+        try:
+            gen = PoolSampledGenerator(fx.pool, seed=31)
+            for uid in sorted(fx.profiles)[:10]:
+                c = route(fx.profiles[uid], fx.histories.get(uid, EMPTY_HISTORY), "q",
+                          tau=service.tau)
+                enhance_track(c, gen, service.cache)
+                service.recommend(uid, "q")
+                service.recommend(uid, "q")
+            old_pool, old_index = service.snapshot
+            assert old_index.hit_plans
+            refs = weakref.ref(old_pool), weakref.ref(old_index)
+            service.refresh_pool(refresh(old_pool))
+            del old_pool, old_index, own
+            gc.collect()
+            assert [r() for r in refs] == [None, None]
+            assert service.snapshot[1].hit_plans == {}
+        finally:
+            service.close()
 
 
 class TestEnhanceTrack:

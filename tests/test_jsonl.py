@@ -49,7 +49,7 @@ LOADERS = {
     "samples": (load_samples, sample, "intent", "user_id", (0, 0, 128, 0), []),
     "replay": (load_replay, replay, "prefixes", "sample_id", (32, 0, 0), []),
     "embeddings": (load_embedding_corpus, lambda i: {"id": f"x{i}", "embedding": [1.0, 2.0]},
-                   "embedding", None, None, []),
+                   "embedding", "id", None, []),
     "cache": (lambda path: SIDCache().load(path), cache_entry, "ts", None, (0, 64, 0), []),
 }
 

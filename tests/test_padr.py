@@ -1,4 +1,5 @@
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidground.codebook import DEFAULT_LAYER_SIZES, SID
-from sidground.errors import InvalidInputError
+from sidground.errors import InvalidInputError, RecordParseError
 from sidground.evaluation import load_samples
 from sidground.padr import (
     BehaviorHistory,
@@ -203,6 +204,18 @@ class TestIO:
         h = make_history(4)
         uid, loaded = history_from_record(history_to_record("u9", h), DEFAULT_LAYER_SIZES)
         assert uid == "u9" and loaded == h
+
+    # str() would load them as 'None' and '5', ids the pool never resolves,
+    # so profile_keywords would silently drop the click's tags.
+    @pytest.mark.parametrize("article_id", [None, 5])
+    def test_click_article_id_must_be_string(self, tmp_path, article_id):
+        rec = history_to_record("u9", make_history(2))
+        rec["clicks"][1]["article_id"] = article_id
+        path = tmp_path / "histories.jsonl"
+        path.write_text(json.dumps(history_to_record("u8", make_history(1))) + "\n"
+                        + json.dumps(rec) + "\n")
+        with pytest.raises(RecordParseError, match="line 2: .*article_id must be a string"):
+            load_histories(path, DEFAULT_LAYER_SIZES)
 
     def test_invariant_violations(self):
         with pytest.raises(InvalidInputError):

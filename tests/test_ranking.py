@@ -7,7 +7,7 @@ from sidground.errors import ConsistencyError, InvalidInputError
 from sidground.matcher import MatchResult
 from sidground.padr import UserProfile
 from sidground.pool import Article, NewsPool
-from sidground.ranking import freshness, interest_points, rank
+from sidground.ranking import freshness, interest_points, rank, score_candidates
 
 NOW = 1_700_000_000.0
 
@@ -115,13 +115,19 @@ class TestRank:
 
 
 class TestTopK:
-    """rank(..., k=k) is the full ranking cut to k, field for field."""
+    """rank(..., k=k) is the full ranking cut to k, field for field, and
+    so is rank over the candidates' Scored, at any other time too."""
 
     @staticmethod
     def check_every_k(candidates, pool, prof, now, lam=0.1, history=None):
         full = rank(candidates, pool, prof, now=now, lam=lam, history=history)
+        scored = score_candidates(candidates, pool, prof, history)
+        assert len(scored) == len(candidates)
+        later = rank(candidates, pool, prof, now=now + 5_000.0, lam=lam, history=history)
         for k in range(1, len(candidates) + 2):
             assert rank(candidates, pool, prof, now=now, lam=lam, history=history, k=k) == full[:k]
+            assert rank(scored, pool, prof, now=now, lam=lam, history=history, k=k) == full[:k]
+            assert rank(scored, pool, prof, now=now + 5_000.0, lam=lam, k=k) == later[:k]
         return full
 
     def test_random_std_fixture_sets(self, std_fixture):
