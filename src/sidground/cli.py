@@ -405,10 +405,10 @@ def _cmd_bench(args, cfg) -> int:
     profiles = [UserProfile(user_id=f"bench{i:05d}",
                             declared_interests=(cats[int(rng.integers(len(cats)))],))
                 for i in range(args.users)]
-    contexts = [(ctx, p) for p in profiles for ctx in preset_queries(p, tau=cfg.tau)]
+    contexts = [ctx for p in profiles for ctx in preset_queries(p, tau=cfg.tau)]
     cache = SIDCache(layer_sizes=pool.layer_sizes)
     warm_cache(profiles, PoolSampledGenerator(pool, seed=cfg.seed, k=cfg.k), cache, tau=cfg.tau)
-    _emit(run_benchmark(contexts, cache, index, pool, requests=args.requests,
+    _emit(run_benchmark(contexts, cache, index, requests=args.requests,
                         concurrency=args.concurrency, delta=cfg.delta, k=cfg.k, lam=cfg.lam))
     return 0
 

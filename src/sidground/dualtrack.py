@@ -16,8 +16,8 @@ saturated enhance track yields to serving threads instead of taking the
 GIL each time a serving thread blocks. A generator that is CPU-bound
 within a single call still shares the GIL for the length of that call.
 
-Grounding is structural: every article id in a ServeResponse comes out
-of the (pool, index) snapshot pair the request was served from, at every
+Grounding is structural: a request reads one PrefixIndex, and every
+article id in its ServeResponse comes out of that index's pool at every
 cascade level, so nothing nonexistent can ever be recommended.
 """
 
@@ -36,9 +36,9 @@ from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .codebook import DEFAULT_LAYER_SIZES, validate_sid
-from .errors import EmptyPoolError, ConsistencyError, InvalidInputError
+from .errors import EmptyPoolError, InvalidInputError
 from .hashing import fnv1a_64
-from .jsonl import iter_jsonl
+from .jsonl import iter_jsonl, json_int, json_str
 from .matcher import MatchResult, SIDPrefix, fuzzy_match
 from .padr import DEFAULT_TAU, BehaviorHistory, UserContext, UserProfile, preset_queries
 from .pool import NewsPool, PrefixIndex
@@ -117,13 +117,16 @@ class SIDCache:
             self._entries[entry.ctx_hash] = entry
 
     def _entry_from_record(self, rec: dict) -> CacheEntry:
+        ts = rec["ts"]
+        if isinstance(ts, bool) or not isinstance(ts, (int, float)):
+            raise ValueError(f"ts must be a number, got {ts!r}")
         return CacheEntry(
-            ctx_hash=int(rec["ctx_hash"]),
+            ctx_hash=json_int(rec["ctx_hash"], "ctx_hash"),
             prefixes=tuple(validate_sid(p, self.layer_sizes[:3], what="cache prefix")
                            for p in rec["prefixes"]),
-            reason=str(rec.get("reason", "")),
-            ts=float(rec["ts"]),
-            ttl_seconds=int(rec.get("ttl_seconds", DEFAULT_TTL_SECONDS)),
+            reason=json_str(rec.get("reason", ""), "reason"),
+            ts=float(ts),
+            ttl_seconds=json_int(rec.get("ttl_seconds", DEFAULT_TTL_SECONDS), "ttl_seconds"),
         )
 
 
@@ -209,12 +212,11 @@ def _as_matches(articles) -> list[MatchResult]:
 class _HitPlan:
     """A cache hit's level-1 match of one context on one snapshot, scored
     up to the `now`-dependent step (scored is None when fewer than
-    MIN_LEVEL1_RESULTS articles matched). It serves a later request only
-    if that request meets the same entry, pool, profile and history
-    objects with equal delta and k; every other request rebuilds it."""
+    MIN_LEVEL1_RESULTS articles matched), kept on that snapshot's index.
+    It serves a later request only if that request meets the same entry
+    and history objects, an equal profile and equal delta and k."""
 
     entry: CacheEntry
-    pool: NewsPool
     profile: UserProfile
     history: BehaviorHistory
     delta: int
@@ -222,46 +224,46 @@ class _HitPlan:
     scored: Optional[Scored]
 
     def serves(self, entry: CacheEntry, req: "_Request", delta: int) -> bool:
-        return (self.entry is entry and self.pool is req.pool and self.profile is req.profile
-                and self.history is req.context.history and self.delta == delta
-                and self.k == req.k)
+        ctx = req.context
+        return (self.entry is entry and self.history is ctx.history and self.delta == delta
+                and self.k == req.k and self.profile == ctx.profile)
 
 
 class _Request:
-    """One serve call: what it ranks for, its stage timings from its
-    start, and the one place its ServeResponse is assembled."""
+    """One serve call on one index: its stage timings from its start, and
+    the one place its ServeResponse is assembled."""
 
-    def __init__(self, context: UserContext, pool: NewsPool, profile: UserProfile,
-                 k: int, lam: float, now: float | None):
+    def __init__(self, context: UserContext, index: PrefixIndex, k: int, lam: float,
+                 now: float | None):
         if k < 1:
             raise InvalidInputError(f"k must be >= 1, got {k}")
-        self.context, self.pool, self.profile, self.k, self.lam = context, pool, profile, k, lam
+        self.context, self.index, self.pool, self.k, self.lam = context, index, index.pool, k, lam
         self.now = time.time() if now is None else now
         self.t0 = time.perf_counter()
         self.lookup_ms = 0.0
         self.match_ms = 0.0
         self.rank_ms = 0.0
 
-    def match(self, prefixes: Iterable[SIDPrefix], index: PrefixIndex, delta: int) -> list[MatchResult]:
+    def match(self, prefixes: Iterable[SIDPrefix], delta: int) -> list[MatchResult]:
         t = time.perf_counter()
-        merged = merge_matches(fuzzy_match(p, index, delta=delta, k=self.k) for p in prefixes)
+        merged = merge_matches(fuzzy_match(p, self.index, delta=delta, k=self.k) for p in prefixes)
         self.match_ms += (time.perf_counter() - t) * 1000.0
         return merged
 
-    def plan(self, entry: CacheEntry, index: PrefixIndex, delta: int) -> _HitPlan:
+    def plan(self, entry: CacheEntry, delta: int) -> _HitPlan:
         """Match the entry's prefixes and score the result free of `now`."""
-        merged = self.match(entry.prefixes, index, delta)
+        ctx = self.context
+        merged = self.match(entry.prefixes, delta)
         scored = None
         if len(merged) >= MIN_LEVEL1_RESULTS:
             t = time.perf_counter()
-            scored = score_candidates(merged, self.pool, self.profile, self.context.history)
+            scored = score_candidates(merged, self.pool, ctx.profile, ctx.history)
             self.rank_ms += (time.perf_counter() - t) * 1000.0
-        return _HitPlan(entry, self.pool, self.profile, self.context.history, delta, self.k,
-                        scored)
+        return _HitPlan(entry, ctx.profile, ctx.history, delta, self.k, scored)
 
     def respond(self, candidates: list[MatchResult] | Scored, served_from: str) -> ServeResponse:
         t_rank = time.perf_counter()
-        ranked = rank(candidates, self.pool, self.profile, now=self.now, lam=self.lam,
+        ranked = rank(candidates, self.pool, self.context.profile, now=self.now, lam=self.lam,
                       history=self.context.history, k=self.k)
         t_end = time.perf_counter()
         return ServeResponse(
@@ -277,7 +279,7 @@ class _Request:
         )
 
 
-def fallback_cascade(req: _Request, index: PrefixIndex, prefixes: tuple[SIDPrefix, ...] = (),
+def fallback_cascade(req: _Request, prefixes: tuple[SIDPrefix, ...] = (),
                      delta: int = 5) -> ServeResponse:
     """Levels 2..4 of one request; the first level with an article serves.
 
@@ -290,10 +292,10 @@ def fallback_cascade(req: _Request, index: PrefixIndex, prefixes: tuple[SIDPrefi
     picked set for presentation.
     """
     if prefixes:
-        merged = req.match(prefixes, index, delta + LEVEL2_DELTA_BONUS)
+        merged = req.match(prefixes, delta + LEVEL2_DELTA_BONUS)
         if merged:
             return req.respond(merged, SERVED_FALLBACK_2)
-    chosen = _most_recent(req.pool, req.k, req.profile.top_categories())
+    chosen = _most_recent(req.pool, req.k, req.context.profile.top_categories())
     if chosen:
         return req.respond(_as_matches(chosen), SERVED_FALLBACK_3)
     return req.respond(_as_matches(_most_recent(req.pool, req.k)), SERVED_FALLBACK_4)
@@ -303,8 +305,6 @@ def fast_track(
     context: UserContext,
     cache: SIDCache,
     index: PrefixIndex,
-    pool: NewsPool,
-    profile: UserProfile,
     delta: int = 5,
     k: int = 10,
     lam: float = 0.1,
@@ -318,19 +318,15 @@ def fast_track(
     The match and the `now`-free half of ranking are kept as a hit plan
     in index.hit_plans, one per ctx_hash, so a returning context on the
     same snapshot only recomputes freshness and sorts (match_ms reads 0).
-    A plan is rebuilt when the entry, pool, profile or history object
-    differs, or delta or k does.
+    A plan is rebuilt when the entry or history object differs, or the
+    profile, delta or k is unequal.
     Cache miss: schedule the enhance track (if a scheduler is wired) and
-    serve fallback_cascade from level 3 immediately. The whole request
-    reads one (pool, index) snapshot pair.
+    serve fallback_cascade from level 3 immediately. The request ranks for
+    the context's profile and history on one snapshot: index.pool.
     """
-    if index.built_from != pool.version:
-        raise ConsistencyError(
-            f"index built from pool version {index.built_from}, serving pool is {pool.version}"
-        )
-    if len(pool) == 0:
+    if len(index.pool) == 0:
         raise EmptyPoolError("cannot serve from an empty pool")
-    req = _Request(context, pool, profile, k, lam, now)
+    req = _Request(context, index, k, lam, now)
     key = ctx_hash(context)
     entry = cache.get(key, req.now)
     req.lookup_ms = (time.perf_counter() - req.t0) * 1000.0
@@ -338,15 +334,15 @@ def fast_track(
     if entry is None:
         if schedule_enhance is not None:
             schedule_enhance(context)
-        return fallback_cascade(req, index)
+        return fallback_cascade(req)
 
     # No lock: threads that rebuild one key at once each serve from their
     # own plan, and whichever is stored last is as valid as the other.
     plan = index.hit_plans.get(key)
     if plan is None or not plan.serves(entry, req, delta):
-        plan = index.hit_plans[key] = req.plan(entry, index, delta)
+        plan = index.hit_plans[key] = req.plan(entry, delta)
     if plan.scored is None:
-        return fallback_cascade(req, index, entry.prefixes, delta)
+        return fallback_cascade(req, entry.prefixes, delta)
     return req.respond(plan.scored, SERVED_CACHE)
 
 
@@ -368,7 +364,7 @@ def enhance_track(
     try:
         output = generator.generate(context)
     except Exception:
-        logger.exception("enhance track: generator failed for user %r", context.user_id)
+        logger.exception("enhance track: generator failed for user %r", context.profile.user_id)
         return None
     prefixes = tuple(
         validate_sid(tuple(p), cache.layer_sizes[:3], what="generated prefix")
@@ -426,7 +422,7 @@ class EnhanceWorkers:
             with self._lock:
                 self.failed += 1
                 self._error = self._error or e
-            logger.exception("enhance track: task failed for user %r", context.user_id)
+            logger.exception("enhance track: task failed for user %r", context.profile.user_id)
             raise
         finally:
             # A worker that never blocks takes the GIL each time a serving
@@ -543,10 +539,9 @@ class MetricsCollector:
 
 
 def run_benchmark(
-    contexts: list[tuple[UserContext, UserProfile]],
+    contexts: list[UserContext],
     cache: SIDCache,
     index: PrefixIndex,
-    pool: NewsPool,
     requests: int,
     concurrency: int,
     delta: int = 5,
@@ -560,8 +555,7 @@ def run_benchmark(
     metrics = MetricsCollector()
 
     def worker(idx: int):
-        ctx, prof = contexts[idx % len(contexts)]
-        metrics.record(fast_track(ctx, cache, index, pool, prof,
+        metrics.record(fast_track(contexts[idx % len(contexts)], cache, index,
                                   delta=delta, k=k, lam=lam, now=now))
 
     with ThreadPoolExecutor(max_workers=concurrency) as ex:

@@ -23,7 +23,7 @@ import numpy as np
 from .codebook import DEFAULT_LAYER_SIZES, SID, validate_sid
 from .errors import InvalidInputError, RecordParseError
 from .hashing import derive_seed
-from .jsonl import iter_jsonl, json_str, write_jsonl
+from .jsonl import iter_jsonl, json_int, json_str, write_jsonl
 from .matcher import SIDPrefix, fuzzy_match, match_count
 from .pool import Article, NewsPool, PrefixIndex
 
@@ -131,9 +131,6 @@ def load_samples(path, layer_sizes=DEFAULT_LAYER_SIZES) -> list[EvalSample]:
         try:
             target = rec["target"]
             cands = rec.get("candidates")
-            history_len = rec.get("history_len", 0)
-            if type(history_len) is not int:    # int() would take 2.7, true and "3"
-                raise ValueError(f"history_len must be an integer, got {history_len!r}")
             return EvalSample(
                 sample_id=json_str(rec["sample_id"], "sample_id"),
                 intent=str(rec["intent"]),
@@ -141,7 +138,7 @@ def load_samples(path, layer_sizes=DEFAULT_LAYER_SIZES) -> list[EvalSample]:
                 query=json_str(rec.get("query", ""), "query"),
                 target_article_id=json_str(target["article_id"], "target article_id"),
                 target_sid=validate_sid(target["sid"], layer_sizes, what="target sid"),
-                history_len=history_len,
+                history_len=json_int(rec.get("history_len", 0), "history_len"),
                 candidates=(tuple(json_str(c, "candidate id") for c in cands)
                             if cands is not None else None),
             )

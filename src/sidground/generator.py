@@ -105,12 +105,11 @@ class HistPopGenerator:
         self.k = k
 
     def generate(self, context: UserContext) -> GeneratorOutput:
-        history = context.history
-        if history is None or len(history) == 0:
+        if not context.history:
             return GeneratorOutput(prefixes=(), reason="no history")
         freq: Counter[SIDPrefix] = Counter()
         latest: dict[SIDPrefix, float] = {}
-        for click in history.clicks:
+        for click in context.history.clicks:
             p = SIDPrefix(click.sid.s1, click.sid.s2, click.sid.s3)
             freq[p] += 1
             latest[p] = max(latest.get(p, float("-inf")), click.timestamp)
@@ -141,10 +140,7 @@ class ProfileCategoryGenerator:
         self.k = k
 
     def generate(self, context: UserContext) -> GeneratorOutput:
-        profile = context.profile
-        if profile is None:
-            return GeneratorOutput(prefixes=(), reason="no profile")
-        for cat in profile.top_categories():
+        for cat in context.profile.top_categories():
             prefixes = self.category_map.get(cat)
             if prefixes:
                 return GeneratorOutput(

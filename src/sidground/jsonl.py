@@ -39,6 +39,14 @@ def json_str(value, what: str) -> str:
     return value
 
 
+def json_int(value, what: str) -> int:
+    """`value` if it is a JSON integer; a bool, a float or a string raises
+    ValueError (int() would take true, 2.7 and "3")."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def iter_jsonl(path, parse: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
     """Yield (line number, parse(record)) for each non-blank line; errors
     as in _parse_object with "line N", bad JSON a RecordParseError."""

@@ -101,14 +101,13 @@ EMPTY_HISTORY = BehaviorHistory()
 
 @dataclass(frozen=True)
 class UserContext:
-    """Routed request context handed to generators and the cache."""
+    """Routed request context (route builds it) for generators and the cache."""
 
     path: str                     # "warm" | "hybrid" | "cold"
     query: str
+    profile: UserProfile = field(repr=False)
+    history: BehaviorHistory = field(repr=False)
     indicator: Optional[str] = None
-    user_id: str = ""
-    profile: Optional[UserProfile] = field(default=None, repr=False)
-    history: Optional[BehaviorHistory] = field(default=None, repr=False)
     sample_id: Optional[str] = None   # set by the eval harness for replay
 
     @property
@@ -179,7 +178,6 @@ def route(
         path=path,
         query=query,
         indicator=indicator,
-        user_id=profile.user_id,
         profile=profile,
         history=history,
     )
@@ -219,6 +217,9 @@ def preset_queries(profile: UserProfile, tau: int = DEFAULT_TAU) -> list[UserCon
 
 
 def profile_from_record(rec: dict) -> UserProfile:
+    interests = rec.get("declared_interests", [])
+    if not isinstance(interests, list):     # tuple() would split "sports" into letters
+        raise ValueError(f"declared_interests must be a list of strings, got {interests!r}")
     demo = rec.get("demographics", {})
     activity = rec.get("activity", {})
     fmt = rec.get("format_affinity", {})
@@ -229,9 +230,11 @@ def profile_from_record(rec: dict) -> UserProfile:
             gender=str(demo.get("gender", "")),
             location=str(demo.get("location", "")),
         ),
-        declared_interests=tuple(rec.get("declared_interests", ())),
-        longterm_prefs_30d=tuple((str(c), float(w)) for c, w in rec.get("longterm_prefs_30d", ())),
-        longterm_prefs_7d=tuple((str(c), float(w)) for c, w in rec.get("longterm_prefs_7d", ())),
+        declared_interests=tuple(json_str(c, "declared_interests entry") for c in interests),
+        longterm_prefs_30d=tuple((json_str(c, "longterm_prefs_30d category"), float(w))
+                                 for c, w in rec.get("longterm_prefs_30d", ())),
+        longterm_prefs_7d=tuple((json_str(c, "longterm_prefs_7d category"), float(w))
+                                for c, w in rec.get("longterm_prefs_7d", ())),
         active_hours=tuple(int(h) for h in activity.get("active_hours", ())),
         daily_duration_minutes=float(activity.get("daily_duration_minutes", 0.0)),
         engagement_level=str(activity.get("engagement_level", "")),

@@ -4,7 +4,7 @@ A NewsPool is an immutable snapshot with a monotonically increasing
 version. Refreshing builds a whole new snapshot and leaves the old one
 untouched, so any number of readers can keep serving from the snapshot
 they grabbed while a writer publishes the next one (atomic reference
-swap; see dualtrack).
+swap of the snapshot's PrefixIndex; see server).
 
 The PrefixIndex realizes the (s1,s2) -> sorted-s3 lookup the matcher
 needs: one bucket per (s1,s2) pair holding (s3, article_id,
@@ -110,14 +110,12 @@ class PrefixIndex:
     buckets[(s1,s2)] is a list of (s3, article_id, published_at) triples
     sorted ascending by (s3, id); ids are unique, so published_at never
     decides the order. The triple carries the recency the matcher's
-    tie-break needs. Holds a reference to its source pool for callers
-    that resolve other article metadata. hit_plans belongs to the serving
-    fast track (dualtrack): its cache-hit plans for this snapshot, keyed
-    by ctx_hash, dropped together with the index.
+    tie-break needs. pool is the snapshot it was built from, so an index
+    is a whole serving snapshot; the serving fast track (dualtrack) keeps
+    its cache-hit plans for it in hit_plans, keyed by ctx_hash.
     """
 
     buckets: dict[tuple[int, int], list[tuple[int, str, float]]]
-    built_from: int
     pool: NewsPool = field(repr=False)
     hit_plans: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -136,7 +134,7 @@ def build_index(pool: NewsPool) -> PrefixIndex:
         buckets.setdefault((a.sid.s1, a.sid.s2), []).append((a.sid.s3, a.id, a.published_at))
     for bucket in buckets.values():
         bucket.sort()
-    return PrefixIndex(buckets=buckets, built_from=pool.version, pool=pool)
+    return PrefixIndex(buckets=buckets, pool=pool)
 
 
 def refresh(

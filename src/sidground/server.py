@@ -1,8 +1,8 @@
 """HTTP service mode: POST /recommend, GET /metrics, POST /refresh.
 
-A RecommendService owns one atomically swappable (pool, index) snapshot
-pair, the prefix cache, and the enhance workers. Each request grabs the
-snapshot once, so a concurrent refresh never mixes pools mid-request.
+A RecommendService owns one atomically swappable PrefixIndex (with its
+pool, the serving snapshot), the prefix cache, and the enhance workers.
+Each request reads the index once, so a refresh never mixes pools.
 The HTTP layer is a thin JSON wrapper over it (stdlib threading server;
 the artifact needs correct semantics, not a web framework).
 """
@@ -49,7 +49,7 @@ class RecommendService:
         enhance_workers: int = 2,
     ):
         self.cache = SIDCache(layer_sizes=pool.layer_sizes)
-        self._snapshot = (pool, build_index(pool))
+        self.index = build_index(pool)     # replaced whole by refresh_pool
         self._swap_lock = threading.Lock()
         self.profiles = profiles
         self.histories = histories or {}
@@ -61,17 +61,12 @@ class RecommendService:
         self.enhance = EnhanceWorkers(self.cache, generator, workers=enhance_workers,
                                       ttl_seconds=ttl_seconds)
 
-    @property
-    def snapshot(self) -> tuple[NewsPool, "object"]:
-        return self._snapshot          # tuple read is atomic
-
     def recommend(self, user_id: str, query: str, k: int | None = None):
         profile = self.profiles.get(user_id) or UserProfile(user_id=user_id)
         history = self.histories.get(user_id, EMPTY_HISTORY)
         context = route(profile, history, query, tau=self.tau)
-        pool, index = self._snapshot
         response = fast_track(
-            context, self.cache, index, pool, profile,
+            context, self.cache, self.index,
             delta=self.delta, k=self.k if k is None else k, lam=self.lam,
             schedule_enhance=self.enhance.schedule,
         )
@@ -85,11 +80,11 @@ class RecommendService:
                 f"pool layer sizes {new_pool.layer_sizes} differ from the cache's "
                 f"{self.cache.layer_sizes}")
         with self._swap_lock:
-            old_pool, _ = self._snapshot
+            old_pool = self.index.pool
             if new_pool.version <= old_pool.version:
                 new_pool = NewsPool(new_pool.articles, version=old_pool.version + 1,
                                     as_of=new_pool.as_of, layer_sizes=new_pool.layer_sizes)
-            self._snapshot = (new_pool, build_index(new_pool))
+            self.index = build_index(new_pool)
         return new_pool.version
 
     def close(self):
@@ -155,7 +150,7 @@ class _Handler(BaseHTTPRequestHandler):
                 path = body["path"]
                 if not isinstance(path, str):   # open() would take an int as a descriptor
                     raise InvalidInputError(f"path must be a string, got {path!r}")
-                new_pool = load_snapshot(path, self.service.snapshot[0].layer_sizes)
+                new_pool = load_snapshot(path, self.service.cache.layer_sizes)
                 version = self.service.refresh_pool(new_pool)
             except (KeyError, OSError, SidgroundError) as e:
                 self._send(422, {"error": str(e)})

@@ -82,13 +82,11 @@ def paper_scale():
 
 def warm_contexts(fx, pool, index, n=200, seed=5):
     profiles = list(fx.profiles.values())[:n]
-    contexts = [
-        (route(p, EMPTY_HISTORY, f"recommend {p.declared_interests[0]} news", tau=10), p)
-        for p in profiles
-    ]
+    contexts = [route(p, EMPTY_HISTORY, f"recommend {p.declared_interests[0]} news", tau=10)
+                for p in profiles]
     cache = SIDCache()
     gen = PoolSampledGenerator(pool, seed=seed)
-    for ctx, _ in contexts:
+    for ctx in contexts:
         enhance_track(ctx, gen, cache, now=NOW)
     return contexts, cache
 
@@ -128,7 +126,7 @@ def test_criterion_02_structural_grounding():
     contexts = []
     for i, p in enumerate(fx.profiles.values()):
         ctx = route(p, EMPTY_HISTORY, f"q{i % 7}", tau=10)
-        contexts.append((ctx, p))
+        contexts.append(ctx)
         if i % 3 == 0:
             enhance_track(ctx, gen, cache, now=NOW)      # grounded prefixes
         elif i % 3 == 1:
@@ -140,11 +138,11 @@ def test_criterion_02_structural_grounding():
             cache.put(CacheEntry(ctx_hash(ctx), prefixes, "", ts=NOW))  # forced cascades
     for i in range(30):
         p = UserProfile(user_id=f"nosig{i}")             # no profile signal: level 4
-        contexts.append((route(p, EMPTY_HISTORY, "q", tau=10), p))
+        contexts.append(route(p, EMPTY_HISTORY, "q", tau=10))
 
     class Holder:
         def __init__(self, pool):
-            self.snap = (pool, build_index(pool))
+            self.index = build_index(pool)
 
     holder = Holder(fx.pool)
     stop = threading.Event()
@@ -163,7 +161,7 @@ def test_criterion_02_structural_grounding():
                 for j in range(5)
             ]
             pool = refresh(pool, add=add, remove=remove)
-            holder.snap = (pool, build_index(pool))
+            holder.index = build_index(pool)
             time.sleep(0.002)
 
     thread = threading.Thread(target=refresher)
@@ -172,9 +170,9 @@ def test_criterion_02_structural_grounding():
     seen_sources = set()
     try:
         for i in range(100_000):
-            ctx, prof = contexts[i % len(contexts)]
-            pool, index = holder.snap
-            resp = fast_track(ctx, cache, index, pool, prof, now=NOW)
+            index = holder.index
+            pool = index.pool
+            resp = fast_track(contexts[i % len(contexts)], cache, index, now=NOW)
             assert resp.pool_version == pool.version
             assert resp.articles    # nonempty whenever the pool is nonempty
             for a in resp.articles:
@@ -323,7 +321,7 @@ def test_criterion_08_latency_at_paper_scale(paper_scale):
     assert len(pool) == 163_560
 
     contexts, cache = warm_contexts(fx, pool, index)
-    stats = run_benchmark(contexts, cache, index, pool,
+    stats = run_benchmark(contexts, cache, index,
                           requests=10_000, concurrency=8, now=NOW)
     assert stats["fallback_level_rates"] == {"cache": 1.0}
     assert stats["latency_p95_ms"] < 20.0, stats
@@ -406,7 +404,7 @@ def test_criterion_08b_enhance_does_not_block_fast_track(paper_scale):
                              workers=1)
 
     def bench():
-        return run_benchmark(contexts, cache, index, pool, requests=2_500,
+        return run_benchmark(contexts, cache, index, requests=2_500,
                              concurrency=8, now=NOW)["latency_p95_ms"]
 
     # Single-core boxes timeslice in 5 ms quanta by default, which buries
@@ -419,7 +417,7 @@ def test_criterion_08b_enhance_does_not_block_fast_track(paper_scale):
         idle_p95s, loaded_p95s = [], []
         for _ in range(3):
             idle_p95s.append(bench())
-            for ctx, _ in contexts[:32]:
+            for ctx in contexts[:32]:
                 workers.schedule(ctx)
             loaded_p95s.append(bench())
             stop.set()
@@ -449,7 +447,7 @@ def test_criterion_09_cascade_levels(std_fixture):
 
     def serve(cache, articles):
         pool = NewsPool(articles)
-        return fast_track(ctx, cache, build_index(pool), pool, profile, now=NOW).served_from
+        return fast_track(ctx, cache, build_index(pool), now=NOW).served_from
 
     # Level 1: dense bucket, at least 3 matches for the cached prefix.
     assert serve(cached, [art(i, 1, 1, 10 + i % 3) for i in range(6)]) == "cache"
@@ -468,11 +466,11 @@ def test_criterion_09_cascade_levels(std_fixture):
     contexts = []
     for p in fx.profiles.values():
         c = route(p, fx.histories[p.user_id], "recommend news", tau=10)
-        contexts.append((c, p))
+        contexts.append(c)
         enhance_track(c, gen, cache, now=NOW)
     total = fallbacks = 0
-    for c, p in contexts * 5:
-        resp = fast_track(c, cache, index, fx.pool, p, now=NOW)
+    for c in contexts * 5:
+        resp = fast_track(c, cache, index, now=NOW)
         total += 1
         fallbacks += int(resp.served_from.startswith("fallback"))
     assert fallbacks / total < 0.05, f"level-2+ activation {fallbacks / total:.3f}"

@@ -24,7 +24,7 @@ from sidground.dualtrack import (
     merge_matches,
     warm_cache,
 )
-from sidground.errors import EmptyPoolError, ConsistencyError, SidRangeError
+from sidground.errors import EmptyPoolError, SidRangeError
 from sidground.generator import GeneratorOutput, PoolSampledGenerator
 from sidground.hashing import fnv1a_64
 from sidground.matcher import MatchResult, SIDPrefix, fuzzy_match
@@ -121,7 +121,7 @@ class TestFastTrack:
         cache = SIDCache()
         c = ctx()
         cache.put(entry_for(c, [SIDPrefix(1, 1, 10)]))
-        resp = fast_track(c, cache, index, pool, c.profile, now=NOW)
+        resp = fast_track(c, cache, index, now=NOW)
         assert resp.served_from == "cache"
         assert len(resp.articles) >= 1
         assert resp.pool_version == pool.version
@@ -131,7 +131,7 @@ class TestFastTrack:
         pool, index = self.make_world()
         cache = SIDCache()
         scheduled = []
-        resp = fast_track(ctx(), cache, index, pool, ctx().profile, now=NOW,
+        resp = fast_track(ctx(), cache, index, now=NOW,
                           schedule_enhance=scheduled.append)
         assert resp.served_from == "fallback_level_3"
         assert len(scheduled) == 1
@@ -140,7 +140,7 @@ class TestFastTrack:
         pool, index = self.make_world()
         profile = UserProfile(user_id="nobody")
         c = route(profile, EMPTY_HISTORY, "q", tau=10)
-        resp = fast_track(c, SIDCache(), index, pool, profile, now=NOW)
+        resp = fast_track(c, SIDCache(), index, now=NOW)
         assert resp.served_from == "fallback_level_4"
 
     def test_expired_entry_is_a_miss(self):
@@ -148,7 +148,7 @@ class TestFastTrack:
         cache = SIDCache()
         c = ctx()
         cache.put(entry_for(c, [SIDPrefix(1, 1, 10)], ts=NOW - 90_000))
-        resp = fast_track(c, cache, index, pool, c.profile, now=NOW)
+        resp = fast_track(c, cache, index, now=NOW)
         assert resp.served_from == "fallback_level_3"
 
     def test_insufficient_level1_descends_to_level2(self):
@@ -160,7 +160,7 @@ class TestFastTrack:
         cache = SIDCache()
         c = ctx()
         cache.put(entry_for(c, [SIDPrefix(1, 1, 10)]))
-        resp = fast_track(c, cache, index, pool, c.profile, now=NOW)
+        resp = fast_track(c, cache, index, now=NOW)
         assert resp.served_from == "fallback_level_2"
         assert {a.article_id for a in resp.articles} == {"d000", "d001", "d002"}
 
@@ -175,21 +175,15 @@ class TestFastTrack:
                            published_at=NOW, sid=SID(5, 5, 5, 0))
         new_pool = refresh(pool, add=[survivor], remove=[a.id for a in pool.articles])
         new_index = build_index(new_pool)
-        resp = fast_track(c, cache, new_index, new_pool, c.profile, now=NOW)
+        resp = fast_track(c, cache, new_index, now=NOW)
         assert resp.served_from == "fallback_level_3"
         assert resp.articles[0].article_id == "other"
-
-    def test_snapshot_consistency_enforced(self):
-        pool, index = self.make_world()
-        stale = refresh(pool)
-        with pytest.raises(ConsistencyError):
-            fast_track(ctx(), SIDCache(), index, stale, ctx().profile, now=NOW)
 
     def test_empty_pool_is_error(self):
         pool = NewsPool([])
         index = build_index(pool)
         with pytest.raises(EmptyPoolError):
-            fast_track(ctx(), SIDCache(), index, pool, ctx().profile, now=NOW)
+            fast_track(ctx(), SIDCache(), index, now=NOW)
 
 
 class TestFallbackCascade:
@@ -200,7 +194,7 @@ class TestFallbackCascade:
         cache = SIDCache()
         c = ctx()
         cache.put(entry_for(c, [SIDPrefix(1, 1, 10)]))
-        resp = fast_track(c, cache, build_index(pool), pool, c.profile, now=NOW)
+        resp = fast_track(c, cache, build_index(pool), now=NOW)
         assert resp.served_from == "fallback_level_3"
 
     def test_terminal_trending(self):
@@ -208,7 +202,7 @@ class TestFallbackCascade:
         index = build_index(pool)
         profile = UserProfile(user_id="u", declared_interests=("sports",))
         c = route(profile, EMPTY_HISTORY, "q", tau=10)
-        resp = fast_track(c, SIDCache(), index, pool, profile, now=NOW)
+        resp = fast_track(c, SIDCache(), index, now=NOW)
         assert resp.served_from == "fallback_level_4"
         assert len(resp.articles) == 1
 
@@ -219,7 +213,7 @@ class TestFallbackCascade:
         c = ctx()
         cache.put(entry_for(c, [SIDPrefix(1, 1, 10)]))
         with pytest.raises(EmptyPoolError):
-            fast_track(c, cache, build_index(pool), pool, c.profile, now=NOW)
+            fast_track(c, cache, build_index(pool), now=NOW)
 
     def test_levels_3_and_4_pick_newest_eligible(self):
         # Oracle: level 3 serves the k newest articles (ties by id) in the
@@ -243,7 +237,7 @@ class TestFallbackCascade:
             eligible = eligible or list(pool.articles)
             want = sorted(eligible, key=lambda a: (-a.published_at, a.id))[:k]
             c = route(profile, EMPTY_HISTORY, "q", tau=10)
-            resp = fast_track(c, SIDCache(), build_index(pool), pool, profile, k=k, now=NOW)
+            resp = fast_track(c, SIDCache(), build_index(pool), k=k, now=NOW)
             assert resp.served_from == level
             assert {a.article_id for a in resp.articles} == {a.id for a in want}
 
@@ -256,11 +250,11 @@ class TestServingGolden:
         fx = std_fixture
         profiles = [fx.profiles[u] for u in sorted(fx.profiles)][:80]
         profiles += [UserProfile(user_id=f"anon{i}") for i in range(4)]
-        contexts = [(route(p, fx.histories.get(p.user_id, EMPTY_HISTORY), q, tau=10), p)
+        contexts = [route(p, fx.histories.get(p.user_id, EMPTY_HISTORY), q, tau=10)
                     for p in profiles for q in ("recommend news", "what happened today")]
         cache = SIDCache()
         gen = PoolSampledGenerator(fx.pool, seed=31)
-        for c, _ in contexts[::2]:
+        for c in contexts[::2]:
             enhance_track(c, gen, cache, now=NOW)
         thin = refresh(fx.pool, remove=[a.id for i, a in enumerate(fx.pool.articles) if i % 10])
         digest = hashlib.sha256()
@@ -268,8 +262,8 @@ class TestServingGolden:
         for pool in (fx.pool, thin):
             index = build_index(pool)
             for k in (1, 5, 10):
-                for c, profile in contexts:
-                    rec = fast_track(c, cache, index, pool, profile, k=k, now=NOW).to_record()
+                for c in contexts:
+                    rec = fast_track(c, cache, index, k=k, now=NOW).to_record()
                     del rec["latency_breakdown"]
                     served[rec["served_from"]] = served.get(rec["served_from"], 0) + 1
                     digest.update(json.dumps(rec, sort_keys=True).encode())
@@ -286,9 +280,9 @@ def fresh_rank(c, profile, entry, index, pool, now, lam=0.1, k=10, delta=5):
 
 
 class TestHitPlans:
-    """A returning context reuses its hit plan only on the same entry, pool,
-    profile and history objects with equal delta and k. Each test fails if
-    one of those checks is dropped."""
+    """A returning context reuses its hit plan only on the same entry and
+    history objects with an equal profile and equal delta and k. Each test
+    fails if one of those checks is dropped."""
 
     def std_world(self, fx, n=60):
         profiles = [fx.profiles[u] for u in sorted(fx.profiles)][:n]
@@ -307,7 +301,7 @@ class TestHitPlans:
         for now, lam, k in ((NOW, 0.1, 10), (NOW + 3_600, 0.5, 10), (NOW + 36_000, 0.9, 3)):
             reused = 0
             for c, profile in contexts:
-                resp = fast_track(c, cache, index, fx.pool, profile, k=k, lam=lam, now=now)
+                resp = fast_track(c, cache, index, k=k, lam=lam, now=now)
                 if resp.served_from != "cache":
                     continue
                 key = ctx_hash(c)
@@ -324,31 +318,15 @@ class TestHitPlans:
         fx = std_fixture
         cache, index, contexts = self.std_world(fx)
         (c, profile), (other, _) = contexts[0], contexts[1]
-        assert fast_track(c, cache, index, fx.pool, profile, now=NOW).served_from == "cache"
+        assert fast_track(c, cache, index, now=NOW).served_from == "cache"
         # A later enhance run installs other prefixes for the same context.
         enhance_track(c, StaticGenerator(cache.get(ctx_hash(other), NOW).prefixes), cache,
                       now=NOW + 60)
         entry = cache.get(ctx_hash(c), NOW + 120)
-        resp = fast_track(c, cache, index, fx.pool, profile, now=NOW + 120)
+        resp = fast_track(c, cache, index, now=NOW + 120)
         assert resp.served_from == "cache"
         assert resp.articles == fresh_rank(c, profile, entry, index, fx.pool, NOW + 120)
         assert index.hit_plans[ctx_hash(c)].entry is entry
-
-    def test_other_pool_object_rebuilds(self, std_fixture):
-        # Same version, same SIDs, so the index still fits, but no category
-        # or tag of the first pool: every interest point changes.
-        fx = std_fixture
-        cache, index, contexts = self.std_world(fx)
-        plain = NewsPool([Article(id=a.id, title=a.title, category="", tags=(),
-                                  published_at=a.published_at, sid=a.sid)
-                          for a in fx.pool.articles], version=fx.pool.version)
-        c, profile = contexts[0]
-        for pool in (fx.pool, plain):
-            resp = fast_track(c, cache, index, pool, profile, now=NOW)
-            assert resp.served_from == "cache"
-            assert resp.articles == fresh_rank(c, profile, cache.get(ctx_hash(c), NOW),
-                                               index, pool, NOW)
-        assert {a.interest_points for a in resp.articles} == {0}
 
     def test_other_k_or_delta_rebuilds(self, std_fixture):
         fx = std_fixture
@@ -358,7 +336,7 @@ class TestHitPlans:
         entry = cache.get(key, NOW)
         for delta, k in ((5, 10), (5, 4), (1, 4), (1, 4)):
             before = index.hit_plans.get(key)
-            resp = fast_track(c, cache, index, fx.pool, profile, delta=delta, k=k, now=NOW)
+            resp = fast_track(c, cache, index, delta=delta, k=k, now=NOW)
             plan = index.hit_plans[key]
             assert (plan is before) == (before is not None and (before.delta, before.k) == (delta, k))
             if resp.served_from == "cache":
@@ -378,17 +356,24 @@ class TestHitPlans:
         return pool, build_index(pool)
 
     def test_other_profile_object_rebuilds(self):
+        # Both profiles render "declared_interests: technology, sports", so
+        # their contexts share one ctx_hash, but only the second one names
+        # the candidates' category.
         pool, index = self.small_world()
-        c = ctx()
+        profiles = [UserProfile(user_id="u1", declared_interests=interests)
+                    for interests in (("technology, sports",), ("technology", "sports"))]
+        contexts = [route(p, EMPTY_HISTORY, "q", tau=10) for p in profiles]
+        assert ctx_hash(contexts[0]) == ctx_hash(contexts[1])
         cache = SIDCache()
-        cache.put(entry_for(c, [SIDPrefix(1, 1, 10)]))
-        sports = UserProfile(user_id="u1", declared_interests=("sports",))
-        for profile in (c.profile, sports):
-            resp = fast_track(c, cache, index, pool, profile, now=NOW)
+        cache.put(entry_for(contexts[0], [SIDPrefix(1, 1, 10)]))
+        points = []
+        for c, profile in zip(contexts, profiles):
+            resp = fast_track(c, cache, index, now=NOW)
             assert resp.articles == fresh_rank(c, profile, cache.get(ctx_hash(c), NOW),
                                                index, pool, NOW)
             assert index.hit_plans[ctx_hash(c)].profile is profile
-        assert {a.interest_points for a in resp.articles} == {0}
+            points.append({a.interest_points for a in resp.articles})
+        assert points == [{0}, {3}]
 
     def test_other_history_object_rebuilds(self):
         # The two histories render alike (a click's article id is not
@@ -405,13 +390,13 @@ class TestHitPlans:
         cache.put(entry_for(contexts[0], [SIDPrefix(1, 1, 10)]))
         tops = []
         for c in contexts:
-            resp = fast_track(c, cache, index, pool, profile, lam=0.0, now=NOW)
+            resp = fast_track(c, cache, index, lam=0.0, now=NOW)
             assert resp.articles == fresh_rank(c, profile, cache.get(ctx_hash(c), NOW),
                                                index, pool, NOW, lam=0.0)
             tops.append(resp.articles[0].article_id)
         assert tops == ["c1", "c0"]      # the newest alpha, then the newest beta article
 
-    def test_unknown_user_rebuilds_per_request(self, std_fixture):
+    def test_unknown_user_reuses_plan(self, std_fixture):
         fx = std_fixture
         service = RecommendService(fx.pool, fx.profiles, StaticGenerator([]),
                                    histories=fx.histories, enhance_workers=1)
@@ -422,13 +407,14 @@ class TestHitPlans:
             prefixes = PoolSampledGenerator(fx.pool, seed=31).generate(
                 route(known, EMPTY_HISTORY, "q", tau=service.tau)).prefixes
             service.cache.put(CacheEntry(ctx_hash(stranger), tuple(prefixes), "", time.time()))
-            _, index = service.snapshot
+            index = service.index
             seen = []
             for _ in range(2):
                 assert service.recommend("stranger", "q").served_from == "cache"
                 seen.append(index.hit_plans[ctx_hash(stranger)])
-            # Each request made its own UserProfile, so neither reused a plan.
-            assert seen[0] is not seen[1] and seen[0].profile is not seen[1].profile
+            # Each request made its own UserProfile; the second, equal one
+            # reused the plan of the first.
+            assert seen[0] is seen[1]
             assert len(index.hit_plans) == 1
         finally:
             service.close()
@@ -439,7 +425,7 @@ class TestHitPlans:
         cache = SIDCache()
         c = ctx()
         cache.put(entry_for(c, [SIDPrefix(1, 1, 10)]))
-        replies = [fast_track(c, cache, index, pool, c.profile, now=NOW + i * 600)
+        replies = [fast_track(c, cache, index, now=NOW + i * 600)
                    for i in range(2)]
         plan = index.hit_plans[ctx_hash(c)]
         assert plan.scored is None
@@ -456,7 +442,7 @@ class TestHitPlans:
         hit_keys = set()
         for i, (c, profile) in enumerate(stream):
             k = (10, 5)[i % 2]
-            fast_track(c, cache, index, fx.pool, profile, k=k, now=NOW)
+            fast_track(c, cache, index, k=k, now=NOW)
             if cache.get(ctx_hash(c), NOW) is not None:
                 hit_keys.add(ctx_hash(c))
         assert set(index.hit_plans) == hit_keys
@@ -475,14 +461,14 @@ class TestHitPlans:
                 enhance_track(c, gen, service.cache)
                 service.recommend(uid, "q")
                 service.recommend(uid, "q")
-            old_pool, old_index = service.snapshot
+            old_index = service.index
             assert old_index.hit_plans
-            refs = weakref.ref(old_pool), weakref.ref(old_index)
-            service.refresh_pool(refresh(old_pool))
-            del old_pool, old_index, own
+            refs = weakref.ref(old_index.pool), weakref.ref(old_index)
+            service.refresh_pool(refresh(old_index.pool))
+            del old_index, own
             gc.collect()
             assert [r() for r in refs] == [None, None]
-            assert service.snapshot[1].hit_plans == {}
+            assert service.index.hit_plans == {}
         finally:
             service.close()
 
@@ -493,11 +479,11 @@ class TestEnhanceTrack:
         index = build_index(pool)
         cache = SIDCache()
         c = ctx()
-        missed = fast_track(c, cache, index, pool, c.profile, now=NOW)
+        missed = fast_track(c, cache, index, now=NOW)
         assert missed.served_from == "fallback_level_3"
         entry = enhance_track(c, StaticGenerator([SIDPrefix(1, 1, 10)]), cache, now=NOW)
         assert entry is not None
-        hit = fast_track(c, cache, index, pool, c.profile, now=NOW)
+        hit = fast_track(c, cache, index, now=NOW)
         assert hit.served_from == "cache"
 
     def test_empty_output_no_write(self):
@@ -547,7 +533,7 @@ class TestWarmCache:
         n = warm_cache([profile], PoolSampledGenerator(pool, seed=1), cache, now=NOW)
         assert n == 1
         preset_ctx = route(profile, EMPTY_HISTORY, "recommend technology news", tau=10)
-        resp = fast_track(preset_ctx, cache, index, pool, profile, now=NOW)
+        resp = fast_track(preset_ctx, cache, index, now=NOW)
         assert resp.served_from == "cache"
 
     def test_no_signal_no_entries(self):
@@ -586,9 +572,9 @@ class TestMetrics:
         collector = MetricsCollector()
         c = ctx()
         cache.put(entry_for(c, [SIDPrefix(1, 1, 10)]))
-        collector.record(fast_track(c, cache, index, pool, c.profile, now=NOW))
+        collector.record(fast_track(c, cache, index, now=NOW))
         c2 = ctx(query="other")
-        collector.record(fast_track(c2, cache, index, pool, c2.profile, now=NOW))
+        collector.record(fast_track(c2, cache, index, now=NOW))
         snap = collector.snapshot()
         assert snap.requests == 2
         assert snap.cache_hit_rate == pytest.approx(0.5)

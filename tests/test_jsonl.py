@@ -115,3 +115,36 @@ def test_bad_history_len_names_line(tmp_path, history_len):
                     + json.dumps({**sample(1), "history_len": history_len}) + "\n")
     with pytest.raises(RecordParseError, match="line 2: .*history_len"):
         load_samples(path)
+
+
+# tuple() would split "sports" into letters, and str() would load a null
+# category as 'None'; a number among the interests would only fail later,
+# when the user's context is rendered.
+@pytest.mark.parametrize("field,value", [
+    ("declared_interests", "sports"),
+    ("declared_interests", [None, 5]),
+    ("longterm_prefs_30d", [[None, 0.5]]),
+    ("longterm_prefs_7d", [[5, 0.5]]),
+])
+def test_bad_profile_categories_name_line(tmp_path, field, value):
+    path = tmp_path / "profiles.jsonl"
+    path.write_text(json.dumps({"user_id": "u0", "declared_interests": ["sports"]}) + "\n"
+                    + json.dumps({"user_id": "u1", field: value}) + "\n")
+    with pytest.raises(RecordParseError, match=f"line 2: .*{field}"):
+        load_profiles(path)
+
+
+# int() would truncate 2.7 and take true; str() would load a null reason
+# as 'None'.
+@pytest.mark.parametrize("field,value", [
+    ("ctx_hash", 2.7), ("ctx_hash", True), ("ctx_hash", "5"),
+    ("ts", True), ("ts", "1.0"),
+    ("ttl_seconds", 9.9), ("ttl_seconds", False),
+    ("reason", None),
+])
+def test_bad_cache_record_field_names_line(tmp_path, field, value):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(json.dumps({**cache_entry(0), "ts": 1}) + "\n"
+                    + json.dumps({**cache_entry(1), field: value}) + "\n")
+    with pytest.raises(RecordParseError, match=f"line 2: .*{field}"):
+        SIDCache().load(path)

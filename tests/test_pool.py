@@ -75,7 +75,7 @@ class TestIndex:
         pool = NewsPool([art(0, 3, 5, 9, 100)])
         index = build_index(pool)
         assert index.buckets == {(3, 5): [(9, "n0", 1000.0)]}
-        assert index.built_from == pool.version
+        assert index.pool is pool
 
     def test_bucket_sorted(self):
         pool = NewsPool([art(0, 1, 1, 40), art(1, 1, 1, 12, published=500.0)])

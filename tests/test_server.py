@@ -68,12 +68,14 @@ class TestService:
         assert second.served_from == "cache"
 
     def test_refresh_swaps_snapshot(self, service, std_fixture):
-        old_pool, old_index = service.snapshot
+        old_index = service.index
+        old_pool = old_index.pool
         new_pool = refresh(old_pool, remove=[old_pool.articles[0].id])
         version = service.refresh_pool(new_pool)
         assert version == old_pool.version + 1
-        pool, index = service.snapshot
-        assert index.built_from == pool.version == version
+        index = service.index
+        assert index is not old_index and index.pool.version == version
+        assert sum(map(len, index.buckets.values())) == len(index.pool) == len(old_pool) - 1
 
 
 class TestHttp:
