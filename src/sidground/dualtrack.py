@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Optional
 from .codebook import DEFAULT_LAYER_SIZES, validate_sid
 from .errors import EmptyPoolError, InvalidInputError
 from .hashing import fnv1a_64
-from .jsonl import iter_jsonl, json_int, json_str
+from .jsonl import iter_jsonl, json_int, json_num, json_str
 from .matcher import MatchResult, SIDPrefix, fuzzy_match
 from .padr import DEFAULT_TAU, BehaviorHistory, UserContext, UserProfile, preset_queries
 from .pool import NewsPool, PrefixIndex
@@ -117,15 +117,12 @@ class SIDCache:
             self._entries[entry.ctx_hash] = entry
 
     def _entry_from_record(self, rec: dict) -> CacheEntry:
-        ts = rec["ts"]
-        if isinstance(ts, bool) or not isinstance(ts, (int, float)):
-            raise ValueError(f"ts must be a number, got {ts!r}")
         return CacheEntry(
             ctx_hash=json_int(rec["ctx_hash"], "ctx_hash"),
             prefixes=tuple(validate_sid(p, self.layer_sizes[:3], what="cache prefix")
                            for p in rec["prefixes"]),
             reason=json_str(rec.get("reason", ""), "reason"),
-            ts=float(ts),
+            ts=json_num(rec["ts"], "ts"),
             ttl_seconds=json_int(rec.get("ttl_seconds", DEFAULT_TTL_SECONDS), "ttl_seconds"),
         )
 

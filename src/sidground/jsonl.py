@@ -47,6 +47,14 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_num(value, what: str) -> float:
+    """`value` as a float if it is a JSON number; a bool or a string raises
+    ValueError (float() would take true and "3")."""
+    if type(value) is not float and type(value) is not int:
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def iter_jsonl(path, parse: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
     """Yield (line number, parse(record)) for each non-blank line; errors
     as in _parse_object with "line N", bad JSON a RecordParseError."""

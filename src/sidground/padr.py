@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 
 from .codebook import DEFAULT_LAYER_SIZES, SID, validate_sid
 from .errors import InvalidInputError, RecordParseError
-from .jsonl import iter_jsonl, json_str
+from .jsonl import iter_jsonl, json_int, json_num, json_str
 
 DEFAULT_TAU = 10
 HISTORY_RENDER_LIMIT = 20
@@ -226,20 +226,24 @@ def profile_from_record(rec: dict) -> UserProfile:
     return UserProfile(
         user_id=json_str(rec["user_id"], "user_id"),
         demographics=Demographics(
-            age_range=str(demo.get("age_range", "")),
-            gender=str(demo.get("gender", "")),
-            location=str(demo.get("location", "")),
+            age_range=json_str(demo.get("age_range", ""), "age_range"),
+            gender=json_str(demo.get("gender", ""), "gender"),
+            location=json_str(demo.get("location", ""), "location"),
         ),
         declared_interests=tuple(json_str(c, "declared_interests entry") for c in interests),
-        longterm_prefs_30d=tuple((json_str(c, "longterm_prefs_30d category"), float(w))
+        longterm_prefs_30d=tuple((json_str(c, "longterm_prefs_30d category"),
+                                  json_num(w, "longterm_prefs_30d weight"))
                                  for c, w in rec.get("longterm_prefs_30d", ())),
-        longterm_prefs_7d=tuple((json_str(c, "longterm_prefs_7d category"), float(w))
+        longterm_prefs_7d=tuple((json_str(c, "longterm_prefs_7d category"),
+                                 json_num(w, "longterm_prefs_7d weight"))
                                 for c, w in rec.get("longterm_prefs_7d", ())),
-        active_hours=tuple(int(h) for h in activity.get("active_hours", ())),
-        daily_duration_minutes=float(activity.get("daily_duration_minutes", 0.0)),
-        engagement_level=str(activity.get("engagement_level", "")),
-        video_affinity=float(fmt.get("video", 0.0)),
-        text_affinity=float(fmt.get("text", 0.0)),
+        active_hours=tuple(json_int(h, "active_hours entry")
+                           for h in activity.get("active_hours", ())),
+        daily_duration_minutes=json_num(activity.get("daily_duration_minutes", 0.0),
+                                        "daily_duration_minutes"),
+        engagement_level=json_str(activity.get("engagement_level", ""), "engagement_level"),
+        video_affinity=json_num(fmt.get("video", 0.0), "format_affinity video"),
+        text_affinity=json_num(fmt.get("text", 0.0), "format_affinity text"),
     )
 
 

@@ -134,6 +134,48 @@ def test_bad_profile_categories_name_line(tmp_path, field, value):
         load_profiles(path)
 
 
+# str() would load a null as 'None', which the user's rendered context and
+# its hash then carry; int() would load active hours [2.7, true] as (2, 1);
+# float() would take true and "3".
+@pytest.mark.parametrize("group,field,value", [
+    ("demographics", "age_range", None),
+    ("demographics", "gender", 1),
+    ("demographics", "location", None),
+    ("activity", "engagement_level", None),
+    ("activity", "active_hours", [2.7]),
+    ("activity", "active_hours", [True]),
+    ("activity", "active_hours", ["3"]),
+    ("activity", "daily_duration_minutes", "3"),
+    ("activity", "daily_duration_minutes", True),
+    ("format_affinity", "video", "0.5"),
+    ("format_affinity", "text", False),
+    (None, "longterm_prefs_30d", [["sports", "0.5"]]),
+    (None, "longterm_prefs_7d", [["sports", True]]),
+])
+def test_bad_profile_fields_name_line(tmp_path, group, field, value):
+    good = {"user_id": "u0", "demographics": {"age_range": "25-34"},
+            "activity": {"active_hours": [7, 21], "daily_duration_minutes": 30},
+            "format_affinity": {"video": 1, "text": 0.5},
+            "longterm_prefs_30d": [["sports", 1]]}
+    bad = {"user_id": "u1", **({group: {field: value}} if group else {field: value})}
+    path = tmp_path / "profiles.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(RecordParseError, match=f"line 2: .*{field}"):
+        load_profiles(path)
+
+
+def test_profile_numbers_load_as_floats(tmp_path):
+    path = tmp_path / "profiles.jsonl"
+    path.write_text(json.dumps({"user_id": "u0", "activity": {"daily_duration_minutes": 30},
+                                "format_affinity": {"video": 1},
+                                "longterm_prefs_7d": [["sports", 2]]}) + "\n")
+    profile = load_profiles(path)["u0"]
+    assert profile.daily_duration_minutes == 30.0 and type(profile.daily_duration_minutes) is float
+    assert type(profile.video_affinity) is float
+    assert profile.longterm_prefs_7d == (("sports", 2.0),)
+    assert type(profile.longterm_prefs_7d[0][1]) is float
+
+
 # int() would truncate 2.7 and take true; str() would load a null reason
 # as 'None'.
 @pytest.mark.parametrize("field,value", [

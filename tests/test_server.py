@@ -2,10 +2,12 @@ import json
 import os
 import socket
 import threading
+import time
 import urllib.request
 
 import pytest
 
+from sidground import server
 from sidground.generator import PoolSampledGenerator
 from sidground.pool import refresh, save_snapshot
 from sidground.server import RecommendService, make_http_server
@@ -32,6 +34,7 @@ def http_server(service):
     thread.start()
     yield f"http://127.0.0.1:{port}", service
     httpd.shutdown()
+    thread.join()
     httpd.server_close()
 
 
@@ -94,6 +97,10 @@ class TestHttp:
         doc = get(base + "/metrics")
         assert doc["requests"] >= 1
         assert 0.0 <= doc["cache_hit_rate"] <= 1.0
+        http = doc["http"]
+        assert set(http) == {"connections", "refused_503", "timed_out", "accept_to_last_byte_s"}
+        assert http["connections"] >= 1 and http["accept_to_last_byte_s"] > 0.0
+        assert http["refused_503"] == http["timed_out"] == 0
 
     def test_refresh_endpoint(self, http_server, std_fixture, tmp_path):
         base, service = http_server
@@ -198,3 +205,129 @@ class TestHttpBadInput:
         uid = next(iter(std_fixture.profiles))
         doc = post(base + "/recommend", {"user_id": uid, "query": "q", "k": 3})
         assert len(doc["articles"]) == 3
+
+
+def wait_for(predicate, what: str, deadline_s: float = 30.0):
+    end = time.monotonic() + deadline_s
+    while not predicate():
+        assert time.monotonic() < end, f"timed out waiting for {what}"
+        time.sleep(0.01)
+
+
+class TestHandlerPool:
+    """The front end serves from a fixed set of handler threads fed by a
+    bounded queue: no thread per connection, and a full queue gets a 503."""
+
+    def test_thread_count_is_fixed_across_requests(self, http_server, std_fixture):
+        base, service = http_server
+        uid = next(iter(std_fixture.profiles))
+        post(base + "/recommend", {"user_id": uid, "query": "warm up"})
+        service.enhance.drain()         # the enhance thread now exists
+        before = threading.active_count()
+        for i in range(50):
+            post(base + "/recommend", {"user_id": uid, "query": f"q{i % 5}"})
+        service.enhance.drain()
+        assert threading.active_count() == before
+
+    def test_close_joins_every_handler_thread(self, service):
+        before = threading.active_count()
+        httpd = make_http_server(service, "127.0.0.1", 0)
+        thread = threading.Thread(target=httpd.serve_forever)
+        thread.start()
+        assert threading.active_count() == before + server.POOL_THREADS + 1
+        get(f"http://127.0.0.1:{httpd.server_address[1]}/metrics")
+        httpd.shutdown()
+        thread.join()
+        httpd.server_close()
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif(not hasattr(socket, "TCP_DEFER_ACCEPT"), reason="Linux only")
+    def test_listening_socket_defers_accept(self, service):
+        httpd = make_http_server(service, "127.0.0.1", 0)
+        try:
+            assert httpd.socket.getsockopt(socket.IPPROTO_TCP, socket.TCP_DEFER_ACCEPT) > 0
+        finally:
+            httpd.server_close()
+
+    def test_flood_gets_503_then_recovers_after_idle_timeout(self, service, monkeypatch):
+        monkeypatch.setattr(server, "POOL_THREADS", 2)
+        monkeypatch.setattr(server, "QUEUE_BOUND", 2)
+        monkeypatch.setattr(server, "IDLE_TIMEOUT_S", 2)
+        httpd = make_http_server(service, "127.0.0.1", 0)
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        address = httpd.server_address
+        held = []
+        try:
+            # Slow clients: each sends half a request and stalls. Wait for
+            # each to reach a handler or the queue before the next connects.
+            for n in range(1, 5):
+                sock = socket.create_connection(address, timeout=10.0)
+                sock.sendall(b"POST /recommend HTTP/1.0\r\n")
+                held.append(sock)
+                wait_for(lambda: httpd._queue.unfinished_tasks == n
+                         and httpd._queue.qsize() == max(0, n - 2), f"connection {n} taken")
+            for request in (b"POST /recommend HTTP/1.0\r\n",
+                            b"GET /metrics HTTP/1.0\r\n\r\n"):
+                with socket.create_connection(address, timeout=10.0) as sock:
+                    sock.sendall(request)
+                    reply = sock.makefile("rb").read()      # a reset raises here
+                assert reply == server.BUSY_REPLY
+                assert b"\r\nRetry-After: 1\r\n" in reply
+            assert json.loads(reply.split(b"\r\n\r\n", 1)[1]) == {
+                "error": "server busy, retry later"}
+            # Once the handlers give up on the first two slow clients, they
+            # take the queued two, and a normal request waits in the queue.
+            wait_for(lambda: httpd.http_record()["timed_out"] >= 2, "idle timeout")
+            base = f"http://127.0.0.1:{address[1]}"
+            with urllib.request.urlopen(base + "/metrics", timeout=30.0) as resp:
+                assert resp.status == 200
+                assert json.loads(resp.read())["http"]["refused_503"] == 2
+            wait_for(lambda: httpd.http_record()["timed_out"] == 4, "every slow client timed out")
+        finally:
+            for sock in held:
+                sock.close()
+            httpd.shutdown()
+            thread.join()
+            httpd.server_close()
+
+    def test_concurrent_clients_all_served(self, http_server, std_fixture):
+        base, _ = http_server
+        users = list(std_fixture.profiles)
+        replies, errors = [], []
+
+        def client(c):
+            try:
+                for i in range(25):
+                    user = users[(c * 25 + i) % len(users)]
+                    replies.append(post(base + "/recommend", {"user_id": user, "query": f"q{i % 3}"}))
+            except Exception as e:      # noqa: BLE001 - reported below
+                errors.append(e)
+
+        threads = [threading.Thread(target=client, args=(c,)) for c in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors and len(replies) == 200
+        ids = {a["article_id"] for doc in replies for a in doc["articles"]}
+        assert ids and ids <= set(std_fixture.pool.by_id)
+
+    def test_hang_ups_and_handler_errors_leave_the_pool_whole(
+            self, http_server, std_fixture, monkeypatch):
+        base, service = http_server
+        host, port = base.removeprefix("http://").split(":")
+        before = threading.active_count()
+        for _ in range(2 * server.POOL_THREADS):
+            with socket.create_connection((host, int(port)), timeout=10.0) as sock:
+                sock.sendall(b"POST /recommend HTTP/1.0\r\nContent-Length: 100\r\n\r\n{")
+        monkeypatch.setattr(service, "recommend", lambda **kw: 1 / 0)
+        for _ in range(server.POOL_THREADS):
+            with pytest.raises(ConnectionError):    # closed without a reply
+                post(base + "/recommend", {"user_id": "u", "query": "q"})
+        monkeypatch.undo()
+        wait_for(lambda: get(base + "/metrics")["http"]["connections"]
+                 >= 3 * server.POOL_THREADS, "every connection handled")
+        assert threading.active_count() == before
+        uid = next(iter(std_fixture.profiles))
+        assert post(base + "/recommend", {"user_id": uid, "query": "q"})["articles"]
