@@ -329,10 +329,9 @@ def _context_from_record(req: dict, layer_sizes, tau: int):
     _, history = history_from_record(
         {"user_id": profile.user_id, "clicks": req.get("clicks", [])}, layer_sizes
     )
-    tau = check_fields(Config, {"tau": req.get("tau", tau)}, "context file",
-                       RecordParseError)["tau"]
+    tau = check_fields(Config, {"tau": req.get("tau", tau)}, "context file")["tau"]
     ctx = route(profile, history, json_str(req.get("query", ""), "query"), tau=tau)
-    if req.get("sample_id") is not None:
+    if "sample_id" in req:
         ctx = dc_replace(ctx, sample_id=json_str(req["sample_id"], "sample_id"))
     return ctx
 

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError, RecordParseError, SidRangeError
-from .jsonl import iter_jsonl, json_str, read_json
+from .jsonl import iter_jsonl, json_int, json_nums, json_str, read_json
 
 DEFAULT_LAYER_SIZES = (32, 64, 128, 1024)
 
@@ -50,6 +50,15 @@ class SIDPrefix(NamedTuple):
     s1: int
     s2: int
     s3: int
+
+
+def check_layer_sizes(sizes) -> tuple[int, int, int, int]:
+    """`sizes` as a tuple if it is four integers (no bools), each >= 1, else
+    InvalidInputError: the one check of a codebook's layer sizes."""
+    if (type(sizes) not in (list, tuple) or len(sizes) != 4
+            or any(type(k) is not int or k < 1 for k in sizes)):
+        raise InvalidInputError(f"layer_sizes must be 4 positive integers, got {sizes!r}")
+    return tuple(sizes)
 
 
 def validate_sid(values, layer_sizes, what: str = "sid"):
@@ -201,9 +210,7 @@ def train_codebook(
     after subtracting the layer 1..l-1 reconstructions. Deterministic for
     identical (corpus, layer_sizes, seed, max_iters).
     """
-    layer_sizes = tuple(int(k) for k in layer_sizes)
-    if len(layer_sizes) != 4 or any(k <= 0 for k in layer_sizes):
-        raise InvalidInputError(f"layer_sizes must be 4 positive integers, got {layer_sizes}")
+    layer_sizes = check_layer_sizes(layer_sizes)
     if max_iters < 1:
         raise InvalidInputError("max_iters must be >= 1")
     points = _as_corpus(corpus)
@@ -317,13 +324,14 @@ def load_codebook(path) -> Codebook:
 def _codebook_from_record(doc: dict) -> Codebook:
     if doc.get("format") != _CODEBOOK_FORMAT:
         raise RecordParseError(f"unrecognized codebook format {doc.get('format')!r}")
-    if doc.get("format_version") != _CODEBOOK_FORMAT_VERSION:
-        raise RecordParseError(f"unsupported codebook version {doc.get('format_version')!r}")
-    layer_sizes = tuple(doc["layer_sizes"])
-    dim = int(doc["dim"])
+    if json_int(doc["format_version"], "format_version") != _CODEBOOK_FORMAT_VERSION:
+        raise RecordParseError(f"unsupported codebook version {doc['format_version']!r}")
+    layer_sizes = check_layer_sizes(doc["layer_sizes"])
+    dim = json_int(doc["dim"], "dim")
     layers = []
     for l, (table, k) in enumerate(zip(doc["layers"], layer_sizes), start=1):
-        arr = np.asarray(table, dtype=np.float64)
+        arr = np.asarray([json_nums(row, f"layer {l} centroid") for row in table],
+                         dtype=np.float64)
         if arr.shape != (k, dim):
             raise RecordParseError(
                 f"layer {l} table has shape {arr.shape}, expected {(k, dim)}"
@@ -332,8 +340,8 @@ def _codebook_from_record(doc: dict) -> Codebook:
     return Codebook(
         layers=tuple(layers),
         dim=dim,
-        seed=int(doc["seed"]),
-        trained_on=str(doc["trained_on"]),
+        seed=json_int(doc["seed"], "seed"),
+        trained_on=json_str(doc["trained_on"], "trained_on"),
     )
 
 
@@ -346,10 +354,9 @@ def load_embedding_corpus(path) -> tuple[list[str], np.ndarray]:
     rows: list[list[float]] = []
 
     def parse(rec):
-        vec = rec["embedding"]
-        dim = len(rows[0]) if rows else len(vec)
-        if len(vec) != dim:
-            raise RecordParseError(f"embedding dimension {len(vec)} != {dim}")
+        vec = json_nums(rec["embedding"], "embedding")
+        if rows and len(vec) != len(rows[0]):
+            raise RecordParseError(f"embedding dimension {len(vec)} != {len(rows[0])}")
         return json_str(rec["id"], "id"), vec
 
     for _, (aid, vec) in iter_jsonl(path, parse):

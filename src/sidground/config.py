@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import MISSING, dataclass, fields
 
-from .codebook import DEFAULT_LAYER_SIZES
+from .codebook import DEFAULT_LAYER_SIZES, check_layer_sizes
 from .dualtrack import DEFAULT_TTL_SECONDS
 from .errors import InvalidInputError
 from .evaluation import DEFAULT_RESAMPLES, DEFAULT_SEED
@@ -44,8 +44,6 @@ class Config:
             raise InvalidInputError("need delta >= 0, k >= 1, tau >= 1")
         if not (0.0 <= self.lam <= 1.0):
             raise InvalidInputError("lambda must be in [0, 1]")
-        if len(self.layer_sizes) != 4 or any(s < 1 for s in self.layer_sizes):
-            raise InvalidInputError("layer_sizes must be 4 positive integers")
 
     def resolve_path(self, path):
         """Resolve a data-file path against data_dir (absolute paths and
@@ -74,28 +72,25 @@ def _typed(value, default, text: bool):
     kind = type(default)
     if text and isinstance(value, str) and kind in (int, float, tuple):
         value = parse_int_list(value, "value") if kind is tuple else kind(value)
-    if (kind is tuple and isinstance(value, (list, tuple)) and len(value) == len(default)
-            and all(_is_a(v, int) for v in value)):
-        return tuple(value)
+    if kind is tuple:       # layer_sizes, the one tuple field
+        return check_layer_sizes(value)
     if kind is dict and isinstance(value, dict) and all(_is_a(v, float) for v in value.values()):
         return value
-    if kind not in (tuple, dict) and _is_a(value, kind):
+    if kind is not dict and _is_a(value, kind):
         return value
     raise ValueError(value)
 
 
 def _kind_name(default) -> str:
-    if isinstance(default, tuple):
-        return f"a list of {len(default)} integers"
-    return {bool: "true or false", int: "an integer", float: "a number",
-            str: "a string", dict: "an object of numbers"}[type(default)]
+    return {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+            tuple: "a list of 4 integers, each >= 1", dict: "an object of numbers"}[type(default)]
 
 
 def check_fields(cls, doc: dict, source: str, error=InvalidInputError,
                  text: bool = False) -> dict:
     """Check every value of `doc` against the type of the default of the
-    dataclass field it names (an int field takes no bool and no 2.7; a
-    tuple field takes a list of as many integers).
+    dataclass field it names (an int field takes no bool and no 2.7; the
+    tuple field, layer_sizes, passes check_layer_sizes).
 
     With text=True a string for a number or tuple field is parsed first
     (environment variables, comma lists on the command line). An unknown

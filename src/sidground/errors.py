@@ -17,22 +17,14 @@ class InsufficientDataError(SidgroundError):
     """Not enough data to perform the operation (e.g. corpus < K1)."""
 
 
-class DuplicateKeyError(SidgroundError):
-    """A unique key (article id, sample id) appeared twice."""
-
-
 class RecordParseError(SidgroundError):
-    """A serialized record could not be parsed.
+    """A serialized record could not be parsed. The message starts with the
+    1-based "line N: " of the offending record when the source is a
+    line-oriented file, and with the file's path otherwise."""
 
-    Carries the 1-based line number of the offending record when the
-    source is a line-oriented file.
-    """
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+class DuplicateKeyError(RecordParseError):
+    """A unique key (article id, user id, sample id) appeared twice."""
 
 
 class SidRangeError(SidgroundError):

@@ -21,9 +21,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .codebook import DEFAULT_LAYER_SIZES, SID, validate_sid
-from .errors import InvalidInputError, RecordParseError
+from .errors import InvalidInputError
 from .hashing import derive_seed
-from .jsonl import iter_jsonl, json_int, json_str, write_jsonl
+from .jsonl import json_int, json_str, json_strs, read_keyed, write_jsonl
 from .matcher import SIDPrefix, fuzzy_match, match_count
 from .pool import Article, NewsPool, PrefixIndex
 
@@ -128,31 +128,20 @@ def load_samples(path, layer_sizes=DEFAULT_LAYER_SIZES) -> list[EvalSample]:
     """Read eval-sample JSONL; target SIDs are range-checked against layer_sizes."""
 
     def parse(rec) -> EvalSample:
-        try:
-            target = rec["target"]
-            cands = rec.get("candidates")
-            return EvalSample(
-                sample_id=json_str(rec["sample_id"], "sample_id"),
-                intent=str(rec["intent"]),
-                user_id=json_str(rec["user_id"], "user_id"),
-                query=json_str(rec.get("query", ""), "query"),
-                target_article_id=json_str(target["article_id"], "target article_id"),
-                target_sid=validate_sid(target["sid"], layer_sizes, what="target sid"),
-                history_len=json_int(rec.get("history_len", 0), "history_len"),
-                candidates=(tuple(json_str(c, "candidate id") for c in cands)
-                            if cands is not None else None),
-            )
-        except (KeyError, TypeError, ValueError, InvalidInputError) as e:
-            raise RecordParseError(f"bad eval sample: {e}") from e
+        target = rec["target"]
+        return EvalSample(
+            sample_id=json_str(rec["sample_id"], "sample_id"),
+            intent=json_str(rec["intent"], "intent"),
+            user_id=json_str(rec["user_id"], "user_id"),
+            query=json_str(rec.get("query", ""), "query"),
+            target_article_id=json_str(target["article_id"], "target article_id"),
+            target_sid=validate_sid(target["sid"], layer_sizes, what="target sid"),
+            history_len=json_int(rec.get("history_len", 0), "history_len"),
+            candidates=(json_strs(rec["candidates"], "candidates")
+                        if "candidates" in rec else None),
+        )
 
-    out = []
-    seen = set()
-    for lineno, s in iter_jsonl(path, parse):
-        if s.sample_id in seen:
-            raise RecordParseError(f"duplicate sample_id {s.sample_id!r}", line=lineno)
-        seen.add(s.sample_id)
-        out.append(s)
-    return out
+    return list(read_keyed(path, parse, "sample_id").values())
 
 
 def write_samples(samples: Iterable[EvalSample], path):

@@ -429,9 +429,7 @@ def write_fixture(fixture: Fixture, outdir) -> dict[str, str]:
         "samples": str(outdir / "samples.jsonl"),
     }
     with open(paths["spec"], "w", encoding="utf-8") as f:
-        doc = asdict(fixture.spec)
-        doc["layer_sizes"] = list(fixture.spec.layer_sizes)
-        json.dump(doc, f, indent=2, sort_keys=True)
+        json.dump(asdict(fixture.spec), f, indent=2, sort_keys=True)
         f.write("\n")
     write_article_jsonl(fixture.pool.articles, paths["pool"])
     write_jsonl(paths["profiles"], (profile_to_record(p) for p in fixture.profiles.values()))

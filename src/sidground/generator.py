@@ -26,7 +26,7 @@ import numpy as np
 from .codebook import DEFAULT_LAYER_SIZES, SIDPrefix, validate_sid
 from .errors import DuplicateKeyError, MissingRecordError, RecordParseError
 from .hashing import derive_seed
-from .jsonl import iter_jsonl, json_str, write_jsonl
+from .jsonl import json_str, read_keyed, write_jsonl
 from .padr import UserContext
 from .pool import Article, NewsPool
 
@@ -204,15 +204,10 @@ def load_replay(path, layer_sizes=DEFAULT_LAYER_SIZES) -> ReplayGenerator:
             sample_id=json_str(rec["sample_id"], "sample_id"),
             prefixes=tuple(validate_sid(p, layer_sizes[:3], what="replay prefix")
                            for p in rec["prefixes"]),
-            reason=str(rec.get("reason", "")),
+            reason=json_str(rec.get("reason", ""), "reason"),
         )
 
-    records: dict[str, ReplayRecord] = {}
-    for lineno, r in iter_jsonl(path, parse):
-        if r.sample_id in records:
-            raise RecordParseError(f"duplicate sample_id {r.sample_id!r}", line=lineno)
-        records[r.sample_id] = r
-    return ReplayGenerator(records)
+    return ReplayGenerator(read_keyed(path, parse, "sample_id"))
 
 
 def from_spec(

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .codebook import DEFAULT_LAYER_SIZES, SID, validate_sid
-from .errors import InvalidInputError, RecordParseError
-from .jsonl import iter_jsonl, json_int, json_num, json_str
+from .errors import InvalidInputError
+from .jsonl import iter_jsonl, json_int, json_num, json_str, json_strs, read_keyed
 
 DEFAULT_TAU = 10
 HISTORY_RENDER_LIMIT = 20
@@ -217,12 +217,14 @@ def preset_queries(profile: UserProfile, tau: int = DEFAULT_TAU) -> list[UserCon
 
 
 def profile_from_record(rec: dict) -> UserProfile:
-    interests = rec.get("declared_interests", [])
-    if not isinstance(interests, list):     # tuple() would split "sports" into letters
-        raise ValueError(f"declared_interests must be a list of strings, got {interests!r}")
     demo = rec.get("demographics", {})
     activity = rec.get("activity", {})
     fmt = rec.get("format_affinity", {})
+
+    def prefs(key):
+        return tuple((json_str(c, f"{key} category"), json_num(w, f"{key} weight"))
+                     for c, w in rec.get(key, ()))
+
     return UserProfile(
         user_id=json_str(rec["user_id"], "user_id"),
         demographics=Demographics(
@@ -230,13 +232,9 @@ def profile_from_record(rec: dict) -> UserProfile:
             gender=json_str(demo.get("gender", ""), "gender"),
             location=json_str(demo.get("location", ""), "location"),
         ),
-        declared_interests=tuple(json_str(c, "declared_interests entry") for c in interests),
-        longterm_prefs_30d=tuple((json_str(c, "longterm_prefs_30d category"),
-                                  json_num(w, "longterm_prefs_30d weight"))
-                                 for c, w in rec.get("longterm_prefs_30d", ())),
-        longterm_prefs_7d=tuple((json_str(c, "longterm_prefs_7d category"),
-                                 json_num(w, "longterm_prefs_7d weight"))
-                                for c, w in rec.get("longterm_prefs_7d", ())),
+        declared_interests=json_strs(rec.get("declared_interests", []), "declared_interests"),
+        longterm_prefs_30d=prefs("longterm_prefs_30d"),
+        longterm_prefs_7d=prefs("longterm_prefs_7d"),
         active_hours=tuple(json_int(h, "active_hours entry")
                            for h in activity.get("active_hours", ())),
         daily_duration_minutes=json_num(activity.get("daily_duration_minutes", 0.0),
@@ -273,10 +271,10 @@ def history_from_record(rec: dict, layer_sizes) -> tuple[str, BehaviorHistory]:
         Click(
             article_id=json_str(c["article_id"], "article_id"),
             sid=validate_sid(c["sid"], layer_sizes, what="click sid"),
-            timestamp=float(c["timestamp"]),
-            dwell_seconds=float(c.get("dwell_seconds", 0.0)),
-            title=str(c.get("title", "")),
-            category=str(c.get("category", "")),
+            timestamp=json_num(c["timestamp"], "timestamp"),
+            dwell_seconds=json_num(c.get("dwell_seconds", 0.0), "dwell_seconds"),
+            title=json_str(c.get("title", ""), "title"),
+            category=json_str(c.get("category", ""), "category"),
         )
         for c in rec.get("clicks", ())
     )
@@ -301,12 +299,7 @@ def history_to_record(user_id: str, h: BehaviorHistory) -> dict:
 
 
 def load_profiles(path) -> dict[str, UserProfile]:
-    out: dict[str, UserProfile] = {}
-    for lineno, p in iter_jsonl(path, profile_from_record):
-        if p.user_id in out:
-            raise RecordParseError(f"duplicate user_id {p.user_id!r}", line=lineno)
-        out[p.user_id] = p
-    return out
+    return read_keyed(path, profile_from_record, "user_id")
 
 
 def load_histories(path, layer_sizes=DEFAULT_LAYER_SIZES) -> dict[str, BehaviorHistory]:

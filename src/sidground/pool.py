@@ -21,9 +21,9 @@ from itertools import chain
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .codebook import SID, DEFAULT_LAYER_SIZES, validate_sid
+from .codebook import SID, DEFAULT_LAYER_SIZES, check_layer_sizes, validate_sid
 from .errors import DuplicateKeyError, RecordParseError
-from .jsonl import iter_jsonl, json_str, write_jsonl
+from .jsonl import json_int, json_num, json_str, json_strs, read_keyed, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -198,38 +198,32 @@ def load_snapshot(path, layer_sizes=DEFAULT_LAYER_SIZES) -> NewsPool:
     the offending line number.
     """
     meta = {"version": 1, "as_of": 0.0, "layer_sizes": tuple(layer_sizes)}
-    articles: list[Article] = []
+    first = True        # only the first record may be the meta line
 
     def parse(rec) -> Article | None:
-        if _SNAPSHOT_META_KEY in rec and not articles:
-            got = rec[_SNAPSHOT_META_KEY]
-            sizes = tuple(int(k) for k in got.get("layer_sizes", meta["layer_sizes"]))
-            if len(sizes) != 4 or min(sizes) < 1:
-                raise RecordParseError(f"layer_sizes must be 4 positive integers, got {list(sizes)}")
-            meta.update(version=int(got.get("version", 1)),
-                        as_of=float(got.get("as_of", 0.0)), layer_sizes=sizes)
-            return None
-        published_at = float(rec["published_at"])
+        nonlocal first
+        if first:
+            first = False
+            if _SNAPSHOT_META_KEY in rec:
+                got = rec[_SNAPSHOT_META_KEY]
+                meta.update(version=json_int(got.get("version", 1), "version"),
+                            as_of=json_num(got.get("as_of", 0.0), "as_of"),
+                            layer_sizes=check_layer_sizes(
+                                got.get("layer_sizes", meta["layer_sizes"])))
+                return None
+        published_at = json_num(rec["published_at"], "published_at")
         if published_at <= 0:
             raise RecordParseError("published_at must be > 0")
         return Article(
             id=json_str(rec["id"], "id"),
-            title=str(rec.get("title", "")),
-            category=str(rec.get("category", "")),
-            tags=tuple(str(t) for t in rec.get("tags", ())),
+            title=json_str(rec.get("title", ""), "title"),
+            category=json_str(rec.get("category", ""), "category"),
+            tags=json_strs(rec.get("tags", []), "tags"),
             published_at=published_at,
             sid=validate_sid(rec["sid"], meta["layer_sizes"]),
         )
 
-    seen: set[str] = set()
-    for lineno, art in iter_jsonl(path, parse):
-        if art is None:
-            continue
-        if art.id in seen:
-            raise DuplicateKeyError(f"line {lineno}: duplicate article id {art.id!r}")
-        seen.add(art.id)
-        articles.append(art)
-    return NewsPool(articles, **meta)
+    return NewsPool(read_keyed(path, parse, "id").values(), **meta)
 
 
 def write_article_jsonl(articles: Iterable[Article], path):

@@ -26,6 +26,7 @@ from .dualtrack import (
     fast_track,
 )
 from .errors import InvalidInputError, SidgroundError
+from .jsonl import json_int, json_str
 from .padr import (
     DEFAULT_TAU,
     EMPTY_HISTORY,
@@ -142,12 +143,6 @@ class _Handler(BaseHTTPRequestHandler):
         doc = json.loads(raw.decode("utf-8"))
         if not isinstance(doc, dict):
             raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
-        k = doc.get("k")
-        if "k" in doc and (isinstance(k, bool) or not isinstance(k, int)):
-            raise ValueError(f"k must be an integer, got {k!r}")
-        for key in ("user_id", "query"):        # str() would serve null as "None"
-            if not isinstance(doc.get(key, ""), str):
-                raise ValueError(f"{key} must be a string, got {doc[key]!r}")
         return doc
 
     def do_GET(self):
@@ -159,34 +154,38 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         try:
+            code, doc = self._post()
+        except OSError:         # the connection failed: nobody to answer
+            raise
+        except Exception:       # a fault of the program, not of the request
+            logger.exception("http: error answering POST %s", self.path)
+            code, doc = 500, {"error": "internal error"}
+        self._send(code, doc)
+
+    def _post(self) -> tuple[int, dict]:
+        try:
             body = self._read_json()
+            if self.path == "/recommend":
+                user_id = json_str(body.get("user_id", ""), "user_id")
+                query = json_str(body.get("query", ""), "query")
+                k = json_int(body["k"], "k") if "k" in body else None
         except ValueError as e:       # JSONDecodeError is a ValueError
-            self._send(400, {"error": f"bad JSON body: {e}"})
-            return
+            return 400, {"error": f"bad JSON body: {e}"}
         if self.path == "/recommend":
             try:
-                resp = self.service.recommend(
-                    user_id=body.get("user_id", ""),
-                    query=body.get("query", ""),
-                    k=body.get("k"),
-                )
+                resp = self.service.recommend(user_id=user_id, query=query, k=k)
             except SidgroundError as e:
-                self._send(422, {"error": str(e)})
-                return
-            self._send(200, resp.to_record())
-        elif self.path == "/refresh":
+                return 422, {"error": str(e)}
+            return 200, resp.to_record()
+        if self.path == "/refresh":
             try:
-                path = body["path"]
-                if not isinstance(path, str):   # open() would take an int as a descriptor
-                    raise InvalidInputError(f"path must be a string, got {path!r}")
+                path = json_str(body["path"], "path")   # open() would take an int as an fd
                 new_pool = load_snapshot(path, self.service.cache.layer_sizes)
                 version = self.service.refresh_pool(new_pool)
-            except (KeyError, OSError, SidgroundError) as e:
-                self._send(422, {"error": str(e)})
-                return
-            self._send(200, {"pool_version": version, "articles": len(new_pool)})
-        else:
-            self._send(404, {"error": f"unknown path {self.path}"})
+            except (KeyError, ValueError, OSError, SidgroundError) as e:
+                return 422, {"error": str(e)}
+            return 200, {"pool_version": version, "articles": len(new_pool)}
+        return 404, {"error": f"unknown path {self.path}"}
 
 
 class _PoolServer(HTTPServer):

@@ -97,7 +97,10 @@ class TestHttp:
         doc = get(base + "/metrics")
         assert doc["requests"] >= 1
         assert 0.0 <= doc["cache_hit_rate"] <= 1.0
-        http = doc["http"]
+        # A handler thread counts its connection after the reply's last byte
+        # is written, so the client can read /metrics before the count lands.
+        wait_for(lambda: get(base + "/metrics")["http"]["connections"] >= 1, "POST counted")
+        http = get(base + "/metrics")["http"]
         assert set(http) == {"connections", "refused_503", "timed_out", "accept_to_last_byte_s"}
         assert http["connections"] >= 1 and http["accept_to_last_byte_s"] > 0.0
         assert http["refused_503"] == http["timed_out"] == 0
@@ -323,8 +326,10 @@ class TestHandlerPool:
                 sock.sendall(b"POST /recommend HTTP/1.0\r\nContent-Length: 100\r\n\r\n{")
         monkeypatch.setattr(service, "recommend", lambda **kw: 1 / 0)
         for _ in range(server.POOL_THREADS):
-            with pytest.raises(ConnectionError):    # closed without a reply
+            with pytest.raises(urllib.error.HTTPError) as exc:
                 post(base + "/recommend", {"user_id": "u", "query": "q"})
+            assert exc.value.code == 500
+            assert json.loads(exc.value.read()) == {"error": "internal error"}
         monkeypatch.undo()
         wait_for(lambda: get(base + "/metrics")["http"]["connections"]
                  >= 3 * server.POOL_THREADS, "every connection handled")
