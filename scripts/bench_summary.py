@@ -5,9 +5,11 @@ Reads the records `python3 sgbench/run.py` keeps under .sgbench/results/
 and, for each workload found, writes one entry into BENCH_<workload>.json:
 the commit measured, the machine facts the records stamp, the seeds, and
 the median and quartiles over runs of every end-to-end metric (and of
-every per-layer metric, over the traced runs). An entry for the same
-commit is replaced and any other entry is kept, so the files hold the
-trajectory of the numbers across commits.
+every per-layer metric, over the traced runs). Under "ungated" it adds
+two serving properties that no gate reads: the latency tail
+(latency_tail_ms p99 and max) and the setup phases (setup_phases_s).
+An entry for the same commit is replaced and any other entry is kept,
+so the files hold the trajectory of the numbers across commits.
 
     python3 scripts/bench_summary.py [--results DIR] [--out DIR] [--commit NAME]
 
@@ -35,16 +37,25 @@ def spread(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": len(values)}
 
 
+def ungated(record: dict) -> dict:
+    """The record's latency tail (p99, max) and setup phases, by name."""
+    props = record.get("properties", {})
+    tail = props.get("latency_tail_ms", {})
+    return {**{f"latency_tail_ms.{q}": tail[q] for q in ("p99", "max") if q in tail},
+            **{f"setup_phases_s.{phase}": s
+               for phase, s in props.get("setup_phases_s", {}).items()}}
+
+
 def summarise(records: list[dict], commit: str) -> dict:
     setups = {json.dumps([r["machine"], r["params"]["seconds"]], sort_keys=True) for r in records}
     if len(setups) > 1:
         raise SystemExit(f"bench_summary: {records[0]['workload']} records differ in machine "
                          f"or run length: {sorted(setups)}")
 
-    def spreads(section: str) -> dict:
+    def spreads(pick) -> dict:
         values = defaultdict(list)
         for r in records:
-            for name, v in r.get(section, {}).items():
+            for name, v in pick(r).items():
                 if isinstance(v, (int, float)):
                     values[name].append(float(v))
         return {name: spread(vs) for name, vs in sorted(values.items())}
@@ -56,8 +67,9 @@ def summarise(records: list[dict], commit: str) -> dict:
         "seeds": sorted(r["seed"] for r in records),
         "attempted": sum(r["attempted"] for r in records),
         "failed": sum(r["failed"] for r in records),
-        "metrics": spreads("metrics"),
-        "layers": spreads("layers"),
+        "metrics": spreads(lambda r: r.get("metrics", {})),
+        "layers": spreads(lambda r: r.get("layers", {})),
+        "ungated": spreads(ungated),
     }
 
 

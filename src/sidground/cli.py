@@ -35,12 +35,12 @@ from . import codebook as cb
 from . import pool as poolmod
 from .config import Config, check_fields, parse_int_list, resolve_config
 from .dualtrack import SIDCache, run_benchmark, warm_cache
-from .errors import InvalidInputError, RecordParseError, SidgroundError
+from .errors import InvalidInputError, SidgroundError
 from .evaluation import load_samples
 from .fixture import FixtureSpec, make_synthetic_fixture, write_fixture
 from .generator import from_spec as generator_from_spec
 from .generator import PoolSampledGenerator
-from .jsonl import json_str, read_json, write_jsonl
+from .jsonl import json_obj, json_str, read_json, write_jsonl
 from .matcher import fuzzy_match, grid_search_delta
 from .padr import (
     EMPTY_HISTORY,
@@ -323,9 +323,7 @@ def _cmd_padr(args, cfg) -> int:
 
 def _context_from_record(req: dict, layer_sizes, tau: int):
     """The routed context a `gen run --context` file describes."""
-    if not req.get("profile"):
-        raise RecordParseError("context file needs a 'profile' object")
-    profile = profile_from_record(req["profile"])
+    profile = profile_from_record(json_obj(req.get("profile"), "profile"))
     _, history = history_from_record(
         {"user_id": profile.user_id, "clicks": req.get("clicks", [])}, layer_sizes
     )

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError, RecordParseError, SidRangeError
-from .jsonl import iter_jsonl, json_int, json_nums, json_str, read_json
+from .jsonl import iter_jsonl, json_int, json_list, json_nums, json_str, read_json
 
 DEFAULT_LAYER_SIZES = (32, 64, 128, 1024)
 
@@ -329,7 +329,7 @@ def _codebook_from_record(doc: dict) -> Codebook:
     layer_sizes = check_layer_sizes(doc["layer_sizes"])
     dim = json_int(doc["dim"], "dim")
     layers = []
-    for l, (table, k) in enumerate(zip(doc["layers"], layer_sizes), start=1):
+    for l, (table, k) in enumerate(zip(json_list(doc["layers"], "layers"), layer_sizes), start=1):
         arr = np.asarray([json_nums(row, f"layer {l} centroid") for row in table],
                          dtype=np.float64)
         if arr.shape != (k, dim):

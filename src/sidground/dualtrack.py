@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Optional
 from .codebook import DEFAULT_LAYER_SIZES, validate_sid
 from .errors import EmptyPoolError, InvalidInputError
 from .hashing import fnv1a_64
-from .jsonl import iter_jsonl, json_int, json_num, json_str
+from .jsonl import iter_jsonl, json_int, json_list, json_num, json_str
 from .matcher import MatchResult, SIDPrefix, fuzzy_match
 from .padr import DEFAULT_TAU, BehaviorHistory, UserContext, UserProfile, preset_queries
 from .pool import NewsPool, PrefixIndex
@@ -120,7 +120,7 @@ class SIDCache:
         return CacheEntry(
             ctx_hash=json_int(rec["ctx_hash"], "ctx_hash"),
             prefixes=tuple(validate_sid(p, self.layer_sizes[:3], what="cache prefix")
-                           for p in rec["prefixes"]),
+                           for p in json_list(rec["prefixes"], "prefixes")),
             reason=json_str(rec.get("reason", ""), "reason"),
             ts=json_num(rec["ts"], "ts"),
             ttl_seconds=json_int(rec.get("ttl_seconds", DEFAULT_TTL_SECONDS), "ttl_seconds"),

@@ -23,7 +23,7 @@ import numpy as np
 from .codebook import DEFAULT_LAYER_SIZES, SID, validate_sid
 from .errors import InvalidInputError
 from .hashing import derive_seed
-from .jsonl import json_int, json_str, json_strs, read_keyed, write_jsonl
+from .jsonl import json_int, json_obj, json_str, json_strs, read_keyed, write_jsonl
 from .matcher import SIDPrefix, fuzzy_match, match_count
 from .pool import Article, NewsPool, PrefixIndex
 
@@ -128,7 +128,7 @@ def load_samples(path, layer_sizes=DEFAULT_LAYER_SIZES) -> list[EvalSample]:
     """Read eval-sample JSONL; target SIDs are range-checked against layer_sizes."""
 
     def parse(rec) -> EvalSample:
-        target = rec["target"]
+        target = json_obj(rec["target"], "target")
         return EvalSample(
             sample_id=json_str(rec["sample_id"], "sample_id"),
             intent=json_str(rec["intent"], "intent"),

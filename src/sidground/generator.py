@@ -26,7 +26,7 @@ import numpy as np
 from .codebook import DEFAULT_LAYER_SIZES, SIDPrefix, validate_sid
 from .errors import DuplicateKeyError, MissingRecordError, RecordParseError
 from .hashing import derive_seed
-from .jsonl import json_str, read_keyed, write_jsonl
+from .jsonl import json_list, json_str, read_keyed, write_jsonl
 from .padr import UserContext
 from .pool import Article, NewsPool
 
@@ -203,7 +203,7 @@ def load_replay(path, layer_sizes=DEFAULT_LAYER_SIZES) -> ReplayGenerator:
         return ReplayRecord(
             sample_id=json_str(rec["sample_id"], "sample_id"),
             prefixes=tuple(validate_sid(p, layer_sizes[:3], what="replay prefix")
-                           for p in rec["prefixes"]),
+                           for p in json_list(rec["prefixes"], "prefixes")),
             reason=json_str(rec.get("reason", ""), "reason"),
         )
 

@@ -4,13 +4,28 @@ codebook, generator context), a JSONL writer, and the field readers.
 
 The readers hand each object to the caller's record parser and make
 every failure a typed SidgroundError (CLI exit code 2) that names the
-1-based line or the document's path, never a bare Python error.
-The field readers (json_str, json_int, ...) are the one type policy: a
-field takes exactly its JSON type, and nothing converts.
+1-based line or the document's path, never a bare Python error. Both
+refuse the NaN, Infinity and -Infinity constants that Python's json
+module accepts but JSON does not have. The field readers (json_str,
+json_int, ..., json_list, json_obj) are the one type policy: a field
+takes exactly its JSON type, and nothing converts.
+
+A JSONL read runs without the cyclic garbage collector. If the collector
+is enabled when the read starts, the reader collects once, disables the
+collector, and on reaching the end of the file calls gc.freeze() and
+enables it again. The freeze moves every object the process tracks,
+the loaded records among them, into the permanent generation, so later
+full collections do not walk a loaded snapshot again; reference
+counting still frees those records once the last reference to them is
+dropped. A read that raises or is closed early only enables the
+collector again. A caller that disabled the collector before the read
+keeps it disabled, and nothing is frozen: that is how a process opts
+out. The effect is process-wide, on every thread.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -77,18 +92,55 @@ def json_nums(value, what: str) -> list:
     return value
 
 
+def json_list(value, what: str) -> list:
+    """`value` if it is a JSON list; a string (which iterates as letters) or
+    an object (which iterates as its keys) raises ValueError."""
+    if type(value) is not list:
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def json_obj(value, what: str) -> dict:
+    """`value` if it is a JSON object; a null, a string or a list raises
+    ValueError."""
+    if type(value) is not dict:
+        raise ValueError(f"{what} must be an object, got {value!r}")
+    return value
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+# json.loads would read NaN, Infinity and -Infinity as floats.
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def iter_jsonl(path, parse: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
     """Yield (line number, parse(record)) for each non-blank line; errors
-    as in _parse_object with "line N", bad JSON a RecordParseError."""
-    with open(path, encoding="utf-8") as f:
-        for lineno, text in enumerate(f, start=1):
-            if text.isspace():
-                continue
-            try:
-                rec = json.loads(text)
-            except json.JSONDecodeError as e:
-                raise RecordParseError(f"line {lineno}: bad JSON: {e.msg}") from e
-            yield lineno, _parse_object(rec, parse, f"line {lineno}")
+    as in _parse_object with "line N", bad JSON a RecordParseError. The
+    read runs with the cyclic collector paused, as the module docstring
+    says."""
+    paused = gc.isenabled()
+    if paused:
+        gc.collect()    # cyclic garbage from before the read would be frozen, never freed
+        gc.disable()
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, text in enumerate(f, start=1):
+                if text.isspace():
+                    continue
+                try:
+                    rec = _DECODER.decode(text)
+                except ValueError as e:     # a JSONDecodeError, or a refused constant
+                    raise RecordParseError(
+                        f"line {lineno}: bad JSON: {getattr(e, 'msg', e)}") from e
+                yield lineno, _parse_object(rec, parse, f"line {lineno}")
+        if paused:
+            gc.freeze()
+    finally:
+        if paused:
+            gc.enable()
 
 
 def read_keyed(path, parse: Callable[[dict], T], key: str) -> dict[str, T]:
@@ -108,10 +160,11 @@ def read_json(path, parse: Callable[[dict], T]) -> T:
     """parse(the JSON object a one-document file holds); errors as in
     _parse_object with the path, bad JSON a RecordParseError."""
     with open(path, encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise RecordParseError(f"{path}: bad JSON: {e}") from e
+        text = f.read()
+    try:
+        doc = _DECODER.decode(text)
+    except ValueError as e:     # a JSONDecodeError, or a refused constant
+        raise RecordParseError(f"{path}: bad JSON: {e}") from e
     return _parse_object(doc, parse, str(path))
 
 

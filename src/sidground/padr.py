@@ -20,7 +20,16 @@ from typing import Iterable, Optional
 
 from .codebook import DEFAULT_LAYER_SIZES, SID, validate_sid
 from .errors import InvalidInputError
-from .jsonl import iter_jsonl, json_int, json_num, json_str, json_strs, read_keyed
+from .jsonl import (
+    iter_jsonl,
+    json_int,
+    json_list,
+    json_num,
+    json_obj,
+    json_str,
+    json_strs,
+    read_keyed,
+)
 
 DEFAULT_TAU = 10
 HISTORY_RENDER_LIMIT = 20
@@ -217,13 +226,13 @@ def preset_queries(profile: UserProfile, tau: int = DEFAULT_TAU) -> list[UserCon
 
 
 def profile_from_record(rec: dict) -> UserProfile:
-    demo = rec.get("demographics", {})
-    activity = rec.get("activity", {})
-    fmt = rec.get("format_affinity", {})
+    demo = json_obj(rec.get("demographics", {}), "demographics")
+    activity = json_obj(rec.get("activity", {}), "activity")
+    fmt = json_obj(rec.get("format_affinity", {}), "format_affinity")
 
     def prefs(key):
         return tuple((json_str(c, f"{key} category"), json_num(w, f"{key} weight"))
-                     for c, w in rec.get(key, ()))
+                     for c, w in json_list(rec.get(key, []), key))
 
     return UserProfile(
         user_id=json_str(rec["user_id"], "user_id"),
@@ -235,8 +244,8 @@ def profile_from_record(rec: dict) -> UserProfile:
         declared_interests=json_strs(rec.get("declared_interests", []), "declared_interests"),
         longterm_prefs_30d=prefs("longterm_prefs_30d"),
         longterm_prefs_7d=prefs("longterm_prefs_7d"),
-        active_hours=tuple(json_int(h, "active_hours entry")
-                           for h in activity.get("active_hours", ())),
+        active_hours=tuple(json_int(h, "active_hours entry") for h in
+                           json_list(activity.get("active_hours", []), "active_hours")),
         daily_duration_minutes=json_num(activity.get("daily_duration_minutes", 0.0),
                                         "daily_duration_minutes"),
         engagement_level=json_str(activity.get("engagement_level", ""), "engagement_level"),
@@ -267,18 +276,18 @@ def profile_to_record(p: UserProfile) -> dict:
 
 def history_from_record(rec: dict, layer_sizes) -> tuple[str, BehaviorHistory]:
     """Parse a history record; click SIDs are range-checked against layer_sizes."""
-    clicks = tuple(
-        Click(
+    clicks = []
+    for c in json_list(rec.get("clicks", []), "clicks"):
+        c = json_obj(c, "clicks entry")
+        clicks.append(Click(
             article_id=json_str(c["article_id"], "article_id"),
             sid=validate_sid(c["sid"], layer_sizes, what="click sid"),
             timestamp=json_num(c["timestamp"], "timestamp"),
             dwell_seconds=json_num(c.get("dwell_seconds", 0.0), "dwell_seconds"),
             title=json_str(c.get("title", ""), "title"),
             category=json_str(c.get("category", ""), "category"),
-        )
-        for c in rec.get("clicks", ())
-    )
-    return json_str(rec["user_id"], "user_id"), BehaviorHistory(clicks=clicks)
+        ))
+    return json_str(rec["user_id"], "user_id"), BehaviorHistory(clicks=tuple(clicks))
 
 
 def history_to_record(user_id: str, h: BehaviorHistory) -> dict:

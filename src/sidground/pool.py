@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from .codebook import SID, DEFAULT_LAYER_SIZES, check_layer_sizes, validate_sid
 from .errors import DuplicateKeyError, RecordParseError
-from .jsonl import json_int, json_num, json_str, json_strs, read_keyed, write_jsonl
+from .jsonl import json_int, json_num, json_obj, json_str, json_strs, read_keyed, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -205,7 +205,7 @@ def load_snapshot(path, layer_sizes=DEFAULT_LAYER_SIZES) -> NewsPool:
         if first:
             first = False
             if _SNAPSHOT_META_KEY in rec:
-                got = rec[_SNAPSHOT_META_KEY]
+                got = json_obj(rec[_SNAPSHOT_META_KEY], _SNAPSHOT_META_KEY)
                 meta.update(version=json_int(got.get("version", 1), "version"),
                             as_of=json_num(got.get("as_of", 0.0), "as_of"),
                             layer_sizes=check_layer_sizes(

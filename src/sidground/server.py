@@ -10,6 +10,7 @@ threads through a bounded queue, answering 503 when the queue is full.
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import queue
@@ -111,6 +112,16 @@ class RecommendService:
         self.enhance.close()
 
 
+def _gc_record() -> dict:
+    """The /metrics "gc" block: the cyclic collector's runs and the objects
+    they freed since start, per generation (0, 1, 2), and the objects a
+    load froze out of its reach (jsonl.iter_jsonl)."""
+    stats = gc.get_stats()
+    return {"collections": [g["collections"] for g in stats],
+            "collected": [g["collected"] for g in stats],
+            "frozen": gc.get_freeze_count()}
+
+
 class _Handler(BaseHTTPRequestHandler):
     service: RecommendService = None  # type: ignore[assignment]
     # Buffer the status line, headers and body: handle_one_request's flush
@@ -148,7 +159,7 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self):
         if self.path == "/metrics":
             self._send(200, {**self.service.metrics.snapshot().to_record(),
-                             "http": self.server.http_record()})
+                             "http": self.server.http_record(), "gc": _gc_record()})
         else:
             self._send(404, {"error": f"unknown path {self.path}"})
 

@@ -44,6 +44,28 @@ def test_median_and_iqr_per_workload(bench_summary, tmp_path):
     assert (tmp_path / "BENCH_offline_eval.json").exists()
 
 
+def test_tail_and_setup_phases_summarised_ungated(bench_summary, tmp_path):
+    runs = []
+    for seed, (p99, worst, load) in enumerate([(2.0, 250.0, 1.5), (3.0, 30.0, 2.5),
+                                               (4.0, 20.0, 2.0)], start=1):
+        rec = record(seed, 100.0)
+        rec["properties"] = {"latency_tail_ms": {"p90": 1.0, "p99": p99, "max": worst},
+                             "setup_phases_s": {"load_snapshot_s": load}}
+        runs.append(rec)
+    write(tmp_path / "res", runs + [record(1, 7.0, workload="offline_eval")])
+    bench_summary["main"](["--results", str(tmp_path / "res"), "--out", str(tmp_path),
+                           "--commit", "abc"])
+    (entry,) = json.loads((tmp_path / "BENCH_serve_hit.json").read_text())["entries"]
+    assert set(entry["ungated"]) == {"latency_tail_ms.p99", "latency_tail_ms.max",
+                                     "setup_phases_s.load_snapshot_s"}
+    assert entry["ungated"]["latency_tail_ms.max"] == {
+        "median": 30.0, "q1": 25.0, "q3": 140.0, "iqr": 115.0, "runs": 3}
+    assert entry["ungated"]["setup_phases_s.load_snapshot_s"]["median"] == 2.0
+    assert "throughput_rps" in entry["metrics"] and "latency_tail_ms.max" not in entry["metrics"]
+    (offline,) = json.loads((tmp_path / "BENCH_offline_eval.json").read_text())["entries"]
+    assert offline["ungated"] == {}
+
+
 def test_same_commit_replaced_other_kept(bench_summary, tmp_path):
     write(tmp_path / "a", [record(1, 100.0)])
     write(tmp_path / "b", [record(1, 200.0)])

@@ -5,7 +5,9 @@ import argparse
 import ast
 import copy
 import dataclasses
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ from sidground.errors import RecordParseError, SidgroundError, SidRangeError
 from sidground.fixture import FixtureSpec
 from sidground.evaluation import load_samples
 from sidground.generator import load_replay
+from sidground.jsonl import iter_jsonl
 from sidground.padr import load_histories, load_profiles
 from sidground.pool import load_snapshot
 
@@ -200,6 +203,32 @@ def test_bad_cache_record_field_names_line(tmp_path, field, value):
         SIDCache().load(path)
 
 
+# json.loads reads NaN, Infinity and -Infinity, which JSON does not have, as
+# floats: an article published at NaN or Infinity loaded (one at -Infinity
+# failed only the > 0 check), and so did a cache entry stamped NaN.
+@pytest.mark.parametrize("name,field,value", [
+    ("raw_articles", "published_at", float("nan")),
+    ("raw_articles", "published_at", float("inf")),
+    ("raw_articles", "published_at", float("-inf")),
+    ("cache", "ts", float("nan")),
+])
+def test_non_finite_constant_names_line(tmp_path, name, field, value):
+    load, record, *_ = LOADERS[name]
+    path = tmp_path / "in.jsonl"
+    path.write_text(json.dumps(record(0)) + "\n" + json.dumps({**record(1), field: value}) + "\n")
+    with pytest.raises(RecordParseError,
+                       match=r"^line 2: bad JSON: -?(NaN|Infinity) is not a JSON number"):
+        load(path)
+
+
+def test_non_finite_config_value_names_path(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"lam": float("nan")}))
+    with pytest.raises(RecordParseError) as exc:
+        load_config_file(path)
+    assert str(exc.value) == f"{path}: bad JSON: NaN is not a JSON number"
+
+
 def test_cli_embedding_that_is_not_a_list_exits_2(tmp_path, capsys):
     # np.asarray would fail on it with a bare ValueError and a traceback.
     path = tmp_path / "emb.jsonl"
@@ -291,8 +320,8 @@ def _top_fields(name):
 # qualified loader name -> [(path to the field, its JSON kind)]
 FIELDS = {
     "pool.load_snapshot": [
-        ((0, "snapshot_meta", "version"), "int"), ((0, "snapshot_meta", "as_of"), "num"),
-        ((0, "snapshot_meta", "layer_sizes"), "sizes"),
+        ((0, "snapshot_meta"), "obj"), ((0, "snapshot_meta", "version"), "int"),
+        ((0, "snapshot_meta", "as_of"), "num"), ((0, "snapshot_meta", "layer_sizes"), "sizes"),
         *(((2, key), kind) for key, kind in [("id", "str"), ("title", "str"),
                                              ("category", "str"), ("tags", "strs"),
                                              ("published_at", "num"), ("sid", "sid")])],
@@ -328,7 +357,7 @@ FIELDS = {
 def _wrong_values(kind, good) -> list:
     """Values of the wrong JSON type for a field of `kind` that holds `good`:
     null, a bool, a float for an integer, a numeric string for a number, a
-    number for a string and a string for a list."""
+    number for a string, and a string or an object for a list."""
     if kind == "sid":
         return [None, "abc", [float(good[0]), *good[1:]], [True, *good[1:]],
                 [str(good[0]), *good[1:]]]
@@ -341,7 +370,7 @@ def _wrong_values(kind, good) -> list:
         "nums": [None, "ab", [True, 0.5], [1, "2"]],
         "sizes": [None, "abcd", [32.9, 64, 128, True], [32, 64, 128, "1024"],
                   [32, 64, 128, 1024.0], [32, 64, 128]],
-        "list": [None, "abc"],
+        "list": [None, "abc", {}],
         "obj": [None, "abc", [1]],
     }[kind]
 
@@ -387,7 +416,7 @@ def test_wrong_json_type_is_a_typed_error(tmp_path, name, path, kind, value):
         load(file)
     where = f"line {path[0] + 1}:" if isinstance(doc, list) else f"{file}:"
     assert str(exc.value).startswith(where), str(exc.value)
-    if kind in ("str", "int", "num", "bool", "strs", "sizes"):
+    if kind in ("str", "int", "num", "bool", "strs", "sizes", "list", "obj"):
         assert [k for k in path if isinstance(k, str)][-1] in str(exc.value)
 
 
@@ -458,3 +487,60 @@ def test_record_parsers_do_not_coerce(name):
                  for func in parsers for call in _calls(func)
                  if isinstance(call.func, ast.Name) and call.func.id in COERCIONS]
     assert not coercions
+
+
+# -- A JSONL read pauses the cyclic collector and freezes what it loaded ----
+
+
+@pytest.fixture
+def collector():
+    """Give the collector back to the rest of the suite as it was."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def test_load_runs_paused_then_freezes_what_it_loaded(tmp_path, collector):
+    gc.enable()
+    path = _write(tmp_path, [article(i) for i in range(50)])
+    assert not any(gc.isenabled() for _ in iter_jsonl(path, lambda rec: rec))
+    assert gc.isenabled()
+    before = gc.get_freeze_count()
+    pool = load_snapshot(path)
+    assert gc.isenabled()
+    assert gc.get_freeze_count() - before >= len(pool) == 50
+
+
+def test_load_with_collector_disabled_keeps_it_disabled(tmp_path, collector):
+    gc.disable()
+    path = _write(tmp_path, [article(i) for i in range(50)])
+    before = gc.get_freeze_count()
+    load_snapshot(path)
+    assert not gc.isenabled() and gc.get_freeze_count() == before
+
+
+def test_failed_or_closed_read_enables_collector_and_freezes_nothing(tmp_path, collector):
+    gc.enable()
+    path = tmp_path / "pool.jsonl"
+    path.write_text(json.dumps(article(0)) + "\n" + json.dumps(article(1)) + "\n{oops\n")
+    before = gc.get_freeze_count()
+    with pytest.raises(RecordParseError, match="^line 3:"):
+        load_snapshot(path)
+    assert gc.isenabled()
+    reader = iter_jsonl(path, lambda rec: rec)
+    next(reader)
+    assert not gc.isenabled()
+    reader.close()
+    assert gc.isenabled() and gc.get_freeze_count() == before
+
+
+def test_reference_counting_frees_a_loaded_pool(tmp_path, collector):
+    # Frozen records are out of the collector's reach: only reference
+    # counting frees them, which needs a snapshot without reference cycles.
+    gc.enable()
+    pool = load_snapshot(_write(tmp_path, [article(i) for i in range(50)]))
+    pool.recency_order()
+    gc.disable()
+    pool_ref, article_ref = weakref.ref(pool), weakref.ref(pool.articles[0])
+    del pool
+    assert pool_ref() is None and article_ref() is None

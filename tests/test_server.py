@@ -1,15 +1,17 @@
+import gc
 import json
 import os
 import socket
 import threading
 import time
 import urllib.request
+import weakref
 
 import pytest
 
 from sidground import server
 from sidground.generator import PoolSampledGenerator
-from sidground.pool import refresh, save_snapshot
+from sidground.pool import load_snapshot, refresh, save_snapshot
 from sidground.server import RecommendService, make_http_server
 
 
@@ -81,6 +83,32 @@ class TestService:
         assert sum(map(len, index.buckets.values())) == len(index.pool) == len(old_pool) - 1
 
 
+    def test_refresh_lets_reference_counting_free_the_old_snapshot(
+            self, service, std_fixture, tmp_path):
+        # A load freezes its records, so the collector never frees them:
+        # the old snapshot must hold no reference cycle, here with its
+        # index, hit plans and cache entries in use.
+        save_snapshot(std_fixture.pool, tmp_path / "snap.jsonl")
+        was_enabled = gc.isenabled()
+        gc.enable()
+        try:
+            service.refresh_pool(load_snapshot(tmp_path / "snap.jsonl"))
+            for uid in sorted(std_fixture.profiles)[:20]:
+                service.recommend(uid, "q")
+            service.enhance.drain()
+            for uid in sorted(std_fixture.profiles)[:20]:
+                service.recommend(uid, "q")
+            assert service.index.hit_plans and len(service.cache) > 0
+            gc.disable()
+            old = service.index.pool
+            refs = [weakref.ref(old), weakref.ref(old.articles[0]), weakref.ref(service.index)]
+            del old
+            service.refresh_pool(load_snapshot(tmp_path / "snap.jsonl"))
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+
 class TestHttp:
     def test_recommend_endpoint(self, http_server, std_fixture):
         base, service = http_server
@@ -104,6 +132,10 @@ class TestHttp:
         assert set(http) == {"connections", "refused_503", "timed_out", "accept_to_last_byte_s"}
         assert http["connections"] >= 1 and http["accept_to_last_byte_s"] > 0.0
         assert http["refused_503"] == http["timed_out"] == 0
+        gc_block = get(base + "/metrics")["gc"]
+        assert set(gc_block) == {"collections", "collected", "frozen"}
+        assert len(gc_block["collections"]) == len(gc_block["collected"]) == 3
+        assert gc_block["frozen"] == gc.get_freeze_count()
 
     def test_refresh_endpoint(self, http_server, std_fixture, tmp_path):
         base, service = http_server
