@@ -12,7 +12,6 @@ architecture (dualtrack, server), and the evaluation harness
 from .codebook import (
     Codebook,
     SID,
-    assign_sid,
     assign_sids,
     load_codebook,
     occupancy,
@@ -33,14 +32,9 @@ from .errors import SidgroundError
 from .evaluation import (
     EvalSample,
     bootstrap_ci,
-    cohens_d,
     expected_random_l1,
     hallucination_rate,
     hit_at_1,
-    l1_match,
-    l2_match,
-    category_match,
-    paired_bootstrap_p,
     partial_match_analysis,
 )
 from .fixture import FixtureSpec, make_synthetic_fixture, write_fixture
@@ -59,7 +53,6 @@ from .matcher import (
     SIDPrefix,
     fuzzy_match,
     grid_search_delta,
-    hierarchical_match,
 )
 from .padr import (
     BehaviorHistory,
@@ -78,7 +71,7 @@ from .pool import (
     refresh,
     temporal_split,
 )
-from .ranking import RankedCandidate, interest_points, rank
+from .ranking import RankedCandidate, rank
 from .report import EvalReport, run_eval
 
 __version__ = "0.1.0"

@@ -262,14 +262,6 @@ def assign_sids(codebook: Codebook, corpus) -> list[SID]:
     return [SID(*map(int, row)) for row in codes]
 
 
-def assign_sid(codebook: Codebook, embedding) -> SID:
-    """Assign a single embedding (vector of length dim) a SID."""
-    vec = np.asarray(embedding, dtype=np.float64)
-    if vec.ndim != 1:
-        raise InvalidInputError("assign_sid expects a single vector")
-    return assign_sids(codebook, vec[None, :])[0]
-
-
 def occupancy(codebook: Codebook, corpus) -> list[float]:
     """Per-layer fraction of codes actually used by the corpus assignment."""
     sids = assign_sids(codebook, corpus)

@@ -190,21 +190,6 @@ def category_indicators(
     return out
 
 
-def l1_match(predictions, targets) -> float:
-    vals = l1_indicators(predictions, targets)
-    return sum(vals) / len(vals) if vals else 0.0
-
-
-def l2_match(predictions, targets) -> float:
-    vals = l2_indicators(predictions, targets)
-    return sum(vals) / len(vals) if vals else 0.0
-
-
-def category_match(predictions, target_categories, index, delta: int = 5) -> float:
-    vals = category_indicators(predictions, target_categories, index, delta)
-    return sum(vals) / len(vals) if vals else 0.0
-
-
 def hallucination_rate(
     raw_generations: Sequence[Optional[SIDPrefix]], index: PrefixIndex
 ) -> float:
@@ -239,16 +224,15 @@ def expected_random_l1(
 # -- Bootstrap statistics -------------------------------------------------
 
 
-def _resample_means(values: np.ndarray, resamples: int, seed: int) -> np.ndarray:
-    """Means of `resamples` bootstrap draws, chunked to bound memory.
+def _resample_means(rows: np.ndarray, resamples: int, seed: int) -> np.ndarray:
+    """Means of `resamples` bootstrap draws for each of the equal-length
+    rows (r, n), chunked to bound memory; returns shape (r, resamples).
 
-    `values` is one row (n,) or equal-length rows (r, n); every row is
-    reduced over the same index draws, one `row[idx]` gather each (a
-    stacked gather is slower). Chunking does not change the stream: the
-    generator yields the same index sequence whether drawn at once or in
-    pieces.
+    Every row is reduced over the same index draws, one `row[idx]` gather
+    each (a stacked gather is slower). Chunking does not change the
+    stream: the generator yields the same index sequence whether drawn at
+    once or in pieces.
     """
-    rows = np.atleast_2d(values)
     rng = np.random.default_rng(seed)
     n = rows.shape[1]
     means = np.empty((len(rows), resamples), dtype=np.float64)
@@ -259,7 +243,7 @@ def _resample_means(values: np.ndarray, resamples: int, seed: int) -> np.ndarray
         for row, out in zip(rows, means):
             out[done : done + m] = row[idx].mean(axis=1)
         done += m
-    return means if values.ndim == 2 else means[0]
+    return means
 
 
 def bootstrap_cis(
@@ -291,40 +275,6 @@ def bootstrap_ci(
     if len(values) == 0:
         raise InvalidInputError("bootstrap_ci needs nonempty values")
     return bootstrap_cis([values], resamples, seed)[0]
-
-
-def paired_bootstrap_p(
-    a: Sequence[float],
-    b: Sequence[float],
-    resamples: int = DEFAULT_RESAMPLES,
-    seed: int = DEFAULT_SEED,
-) -> float:
-    """Two-sided paired bootstrap p-value: the smaller tail fraction of
-    resampled mean differences on either side of zero, doubled, capped."""
-    if len(a) != len(b):
-        raise InvalidInputError("paired test needs aligned lists")
-    if len(a) == 0:
-        raise InvalidInputError("paired test needs nonempty lists")
-    diffs = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-    means = _resample_means(diffs, resamples, seed)
-    frac_le = float((means <= 0.0).mean())
-    frac_ge = float((means >= 0.0).mean())
-    return min(1.0, 2.0 * min(frac_le, frac_ge))
-
-
-def cohens_d(a: Sequence[float], b: Sequence[float]) -> float:
-    """Mean difference over pooled (ddof=1) standard deviation."""
-    xa = np.asarray(a, dtype=np.float64)
-    xb = np.asarray(b, dtype=np.float64)
-    if len(xa) < 2 or len(xb) < 2:
-        raise InvalidInputError("cohens_d needs at least 2 values per side")
-    diff = xa.mean() - xb.mean()
-    pooled_var = (
-        (len(xa) - 1) * xa.var(ddof=1) + (len(xb) - 1) * xb.var(ddof=1)
-    ) / (len(xa) + len(xb) - 2)
-    if pooled_var == 0.0:
-        return 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
-    return float(diff / math.sqrt(pooled_var))
 
 
 # -- Hit@1 ---------------------------------------------------------------
@@ -398,13 +348,15 @@ def draw_candidates(
     pool: NewsPool,
     negative_mode: str,
     seed: int,
-    by_category: dict[str, list[str]] | None = None,
+    by_category: dict[str, list[str]],
 ) -> tuple[list[str], bool]:
     """Fixed candidate set for (sample, seed): the target plus 4 negatives.
 
     rand: 4 uniform non-target articles. align: 2 same-category
     non-targets + 2 uniform; falls back to uniform negatives when the
     category is too thin (flagged in the second return value).
+    by_category maps each category to its article ids in pool order, as
+    hit_at_1 builds it once per pool.
     """
     rng = np.random.default_rng(derive_seed(seed, "hit1-negatives", sample.sample_id))
     target = pool.by_id[sample.target_article_id]
@@ -412,11 +364,7 @@ def draw_candidates(
     chosen: list[str] = []
 
     if negative_mode == NEGATIVE_MODE_ALIGN:
-        same_cat = (
-            by_category.get(target.category, [])
-            if by_category is not None
-            else [a.id for a in pool.articles if a.category == target.category]
-        )
+        same_cat = by_category.get(target.category, [])
         # Draw by index into the category list, stepping over the target.
         try:
             skip = same_cat.index(target.id)
@@ -471,7 +419,7 @@ def hit_at_1(
         if sample.target_article_id not in pool.by_id:
             skipped += 1
             continue
-        rand_ids, _ = draw_candidates(sample, pool, NEGATIVE_MODE_RAND, seed)
+        rand_ids, _ = draw_candidates(sample, pool, NEGATIVE_MODE_RAND, seed, by_category)
         align_ids, fell_back = draw_candidates(sample, pool, NEGATIVE_MODE_ALIGN, seed, by_category)
         align_fallbacks += int(fell_back)
         context = contexts.get(sample.sample_id) if contexts else None

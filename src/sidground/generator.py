@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Protocol
 
 import numpy as np
@@ -154,20 +155,29 @@ class PoolSampledGenerator:
     """Emits prefixes of randomly sampled pool articles: a perfectly
     grounded generator with no personalization. Used by the benchmark and
     by grounding tests, where generation quality is irrelevant but pool
-    existence matters."""
+    existence matters.
+
+    It keeps its pool's (s1, s2, s3) codes in one array of the narrowest
+    integer type the pool's layer sizes allow, not the articles or their
+    SIDs: any object of a snapshot kept alive also keeps the allocator's
+    memory it shares with the other records, so after a refresh the old
+    snapshot's memory would not come back. The generator goes on
+    sampling the old snapshot's prefixes after a refresh; replies stay
+    grounded, because every prefix is matched against the serving index.
+    """
 
     def __init__(self, pool: NewsPool, seed: int = 0, k: int = DEFAULT_K):
-        self._articles = pool.articles
+        self._prefixes = np.fromiter(
+            chain.from_iterable(a.sid[:3] for a in pool.articles),
+            dtype=np.min_scalar_type(max(pool.layer_sizes[:3]) - 1), count=3 * len(pool),
+        ).reshape(-1, 3)
         self.seed = seed
         self.k = k
 
     def generate(self, context: UserContext) -> GeneratorOutput:
         rng = np.random.default_rng(derive_seed(self.seed, "pool-sample", context.rendered))
-        idx = rng.integers(0, len(self._articles), size=self.k)
-        prefixes = tuple(
-            SIDPrefix(a.sid.s1, a.sid.s2, a.sid.s3)
-            for a in (self._articles[int(i)] for i in idx)
-        )
+        idx = rng.integers(0, len(self._prefixes), size=self.k)
+        prefixes = tuple(SIDPrefix(*row) for row in self._prefixes[idx].tolist())
         return GeneratorOutput(prefixes=prefixes, reason="sampled from pool")
 
 

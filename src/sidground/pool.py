@@ -61,14 +61,14 @@ class NewsPool:
 
     def __init__(self, articles: Iterable[Article], version: int = 1, as_of: float = 0.0,
                  layer_sizes: Sequence[int] = DEFAULT_LAYER_SIZES):
-        arts = list(articles)
-        by_id: dict[str, Article] = {}
-        for a in arts:
-            if a.id in by_id:
-                raise DuplicateKeyError(f"duplicate article id {a.id!r}")
-            by_id[a.id] = a
-        self.articles: tuple[Article, ...] = tuple(arts)
-        self.by_id: dict[str, Article] = by_id
+        self.articles: tuple[Article, ...] = tuple(articles)
+        self.by_id: dict[str, Article] = {a.id: a for a in self.articles}
+        if len(self.by_id) < len(self.articles):
+            seen: set[str] = set()
+            for a in self.articles:
+                if a.id in seen:
+                    raise DuplicateKeyError(f"duplicate article id {a.id!r}")
+                seen.add(a.id)
         self.version = int(version)
         self.as_of = float(as_of)
         self.layer_sizes = tuple(layer_sizes)
@@ -146,22 +146,15 @@ def refresh(
     """Produce the next snapshot: version+1, prior snapshot untouched.
 
     Removing a missing id logs a warning and continues; adding an id that
-    survives the removal set raises.
+    survives the removal set raises DuplicateKeyError (from NewsPool).
     """
     remove_set = set(remove)
     for rid in remove_set:
         if rid not in pool.by_id:
             logger.warning("refresh: removing unknown article id %r", rid)
     surviving = [a for a in pool.articles if a.id not in remove_set]
-    surviving_ids = {a.id for a in surviving}
-    added = []
-    for a in add:
-        if a.id in surviving_ids:
-            raise DuplicateKeyError(f"refresh: article id {a.id!r} already in pool")
-        surviving_ids.add(a.id)
-        added.append(a)
     return NewsPool(
-        surviving + added,
+        surviving + list(add),
         version=pool.version + 1,
         as_of=pool.as_of if as_of is None else as_of,
         layer_sizes=pool.layer_sizes,

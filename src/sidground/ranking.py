@@ -7,6 +7,11 @@ Combines three signals into one score:
     freshness       = exp(-age_hours / 24)
     final           = (1 - lam) * relevance + lam * freshness
 
+The categories are the profile's top categories; the keywords are its
+declared interests plus the tags of the user's 20 most recent clicks
+(profile_keywords). score_candidates is the one place interest points
+are computed: the served `interest_points` field is its column.
+
 Category hits weigh 3 and keyword hits 1; lam (default 0.1) trades
 relevance against recency. The 24h freshness half-life mirrors how fast
 the pool itself turns over. Normalizing interest by the in-candidate-set
@@ -49,13 +54,13 @@ class RankedCandidate:
 
 def profile_keywords(
     profile: UserProfile,
-    history: BehaviorHistory | None = None,
-    pool: NewsPool | None = None,
+    history: BehaviorHistory | None,
+    pool: NewsPool,
 ) -> frozenset[str]:
     """Keyword set for tag matching: declared interests plus tags of the
     20 most recent clicks still resolvable in the pool."""
     words = set(profile.declared_interests)
-    if history is not None and pool is not None:
+    if history is not None:
         for click in history.clicks[-_KEYWORD_CLICK_LIMIT:]:
             art = pool.by_id.get(click.article_id)
             if art is not None:
@@ -67,18 +72,6 @@ def _points(article: Article, categories: set[str], keywords: frozenset[str]) ->
     tags = article.tags     # most articles share no tag with the keywords: skip the set
     tag_hits = 0 if keywords.isdisjoint(tags) else len(keywords.intersection(tags))
     return CATEGORY_WEIGHT * (article.category in categories) + KEYWORD_WEIGHT * tag_hits
-
-
-def interest_points(
-    article: Article,
-    profile: UserProfile,
-    keywords: frozenset[str] | None = None,
-) -> int:
-    """Profile alignment points: 3 per category-level hit, 1 per keyword
-    (tag) hit. keywords defaults to the declared interests alone."""
-    if keywords is None:
-        keywords = frozenset(profile.declared_interests)
-    return _points(article, set(profile.top_categories()), keywords)
 
 
 def freshness(published_at: float, now: float) -> float:

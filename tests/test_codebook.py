@@ -8,7 +8,6 @@ from sidground.codebook import (
     _DIST_BATCH,
     _kmeanspp_init,
     _pairwise_sq_dists,
-    assign_sid,
     assign_sids,
     load_codebook,
     load_embedding_corpus,
@@ -154,13 +153,13 @@ def test_non_finite_embedding_rejected():
 def test_assign_dimension_mismatch():
     book = train_codebook(tiny_corpus(dim=8), layer_sizes=(8, 4, 4, 4), seed=0)
     with pytest.raises(InvalidInputError):
-        assign_sid(book, np.zeros(5))
+        assign_sids(book, np.zeros((1, 5)))
 
 
 def test_assign_centroid_self_assignment():
     corpus = tiny_corpus(seed=9)
     book = train_codebook(corpus, layer_sizes=(8, 4, 4, 4), seed=0)
-    sid = assign_sid(book, book.layers[0][7])
+    [sid] = assign_sids(book, book.layers[0][7:8])
     assert sid.s1 == 7
 
 

@@ -1,5 +1,7 @@
+import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from sidground.codebook import SID
@@ -18,6 +20,7 @@ from sidground.generator import (
     popular_prefixes,
     write_replay,
 )
+from sidground.hashing import derive_seed
 from sidground.matcher import SIDPrefix
 from sidground.padr import (
     BehaviorHistory,
@@ -26,7 +29,7 @@ from sidground.padr import (
     UserProfile,
     route,
 )
-from sidground.pool import Article, NewsPool
+from sidground.pool import Article, NewsPool, refresh
 
 
 def art(i, s1, s2, s3, category="c", published=1000.0):
@@ -144,6 +147,37 @@ class TestPoolSampledGenerator:
         }
         out = gen.generate(ctx_for())
         assert set(out.prefixes) <= existing
+
+    @pytest.mark.parametrize("seed", [0, 7, 31])
+    def test_same_draws_as_indexing_the_articles(self, std_fixture, seed):
+        arts = std_fixture.pool.articles
+        gen = PoolSampledGenerator(std_fixture.pool, seed=seed)
+        for query in ("q", "world cup", "rates"):
+            ctx = ctx_for(query=query)
+            rng = np.random.default_rng(derive_seed(seed, "pool-sample", ctx.rendered))
+            want = tuple(SIDPrefix(arts[i].sid.s1, arts[i].sid.s2, arts[i].sid.s3)
+                         for i in rng.integers(0, len(arts), size=gen.k).tolist())
+            assert gen.generate(ctx).prefixes == want
+
+    # The codes are kept in the narrowest integer type the layer sizes
+    # allow; the largest code of a layer must survive it, and come back as
+    # a Python int that JSON can write.
+    @pytest.mark.parametrize("size", [256, 257, 65537])
+    def test_largest_code_survives_the_narrow_type(self, size):
+        top = size - 1
+        pool = NewsPool([art(0, top, 0, top), art(1, 0, top, 0)],
+                        layer_sizes=(size, size, size, 4))
+        out = PoolSampledGenerator(pool, seed=1, k=8).generate(ctx_for())
+        assert set(out.prefixes) == {SIDPrefix(top, 0, top), SIDPrefix(0, top, 0)}
+        assert all(type(v) is int for p in out.prefixes for v in (p.s1, p.s2, p.s3))
+        json.dumps([[p.s1, p.s2, p.s3] for p in out.prefixes])
+
+    def test_keeps_its_snapshot_after_a_refresh(self):
+        old = NewsPool([art(0, 1, 2, 3)])
+        gen = PoolSampledGenerator(old, seed=4, k=3)
+        new = refresh(old, add=[art(1, 4, 5, 6)], remove=["g0"])
+        assert new.articles[0].sid[:3] == (4, 5, 6)
+        assert gen.generate(ctx_for()).prefixes == (SIDPrefix(1, 2, 3),) * 3
 
 
 class TestReplay:

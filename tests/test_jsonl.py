@@ -284,7 +284,7 @@ FIELD_LOADERS = {
                     "candidates": ["a", "b", "c", "d", "e"]}]),
     "generator.load_replay": (load_replay, [replay(0), {**replay(1), "reason": "r"}]),
     "dualtrack.SIDCache.load": (lambda path: SIDCache().load(path),
-                                [cache_entry(0), cache_entry(1)]),
+                                [{**cache_entry(0), "ts": 1}, cache_entry(1)]),
     "codebook.load_embedding_corpus": (load_embedding_corpus, [
         {"id": "x0", "embedding": [1.0, 2.0]}, {"id": "x1", "embedding": [3.0, 4]}]),
     "codebook.load_codebook": (load_codebook, CODEBOOK),
@@ -416,6 +416,8 @@ def test_wrong_json_type_is_a_typed_error(tmp_path, name, path, kind, value):
         load(file)
     where = f"line {path[0] + 1}:" if isinstance(doc, list) else f"{file}:"
     assert str(exc.value).startswith(where), str(exc.value)
+    if isinstance(doc, list) and kind != "sid":
+        assert type(exc.value) is RecordParseError
     if kind in ("str", "int", "num", "bool", "strs", "sizes", "list", "obj"):
         assert [k for k in path if isinstance(k, str)][-1] in str(exc.value)
 

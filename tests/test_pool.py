@@ -151,6 +151,30 @@ class TestRefresh:
         nxt = refresh(pool, add=[art(0, s3=7)], remove=["n0"])
         assert nxt.by_id["n0"].sid.s3 == 7
 
+    def test_add_existing_id_names_it(self):
+        pool = NewsPool([art(0), art(1)])
+        with pytest.raises(DuplicateKeyError, match="duplicate article id 'n1'"):
+            refresh(pool, add=[art(2), art(1)], remove=["n0"])
+
+    def test_same_id_added_twice_rejected(self):
+        pool = NewsPool([art(0)])
+        with pytest.raises(DuplicateKeyError, match="duplicate article id 'n5'"):
+            refresh(pool, add=[art(5), art(5, s3=1)])
+        assert [a.id for a in pool.articles] == ["n0"]
+
+
+class TestDuplicateIds:
+    @pytest.mark.parametrize("ids,first", [
+        ([0, 0], "n0"),
+        ([0, 1, 1, 0], "n1"),
+        ([0, 1, 2, 0, 1], "n0"),
+        ([1, 0, 0, 1, 2, 2], "n0"),
+    ])
+    def test_names_the_first_repeated_id(self, ids, first):
+        with pytest.raises(DuplicateKeyError) as exc:
+            NewsPool([art(i, s3=k) for k, i in enumerate(ids)])
+        assert str(exc.value) == f"duplicate article id {first!r}"
+
 
 class TestTemporalSplit:
     def test_all_before_cutoff(self):

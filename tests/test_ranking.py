@@ -5,9 +5,9 @@ import pytest
 from sidground.codebook import SID
 from sidground.errors import ConsistencyError, InvalidInputError
 from sidground.matcher import MatchResult
-from sidground.padr import UserProfile
+from sidground.padr import BehaviorHistory, Click, UserProfile
 from sidground.pool import Article, NewsPool
-from sidground.ranking import freshness, interest_points, rank, score_candidates
+from sidground.ranking import freshness, rank, score_candidates
 
 NOW = 1_700_000_000.0
 
@@ -25,14 +25,20 @@ def profile(declared=("technology",)):
     return UserProfile(user_id="u", declared_interests=tuple(declared))
 
 
+def served_points(a, p, pool=None):
+    """The interest points score_candidates gives article a for profile p."""
+    scored = score_candidates([MatchResult(a.id, 1.0, 0)], pool or NewsPool([a]), p)
+    return scored.points[0]
+
+
 class TestInterestPoints:
     def test_category_plus_two_tags(self):
         a = art(0, category="technology", tags=("ai", "iphone"))
         p = UserProfile(user_id="u", declared_interests=("technology", "ai", "iphone"))
-        assert interest_points(a, p) == 3 + 1 + 1
+        assert served_points(a, p) == 3 + 1 + 1
 
     def test_no_overlap(self):
-        assert interest_points(art(0, category="sports"), profile()) == 0
+        assert served_points(art(0, category="sports"), profile()) == 0
 
     def test_set_intersection_oracle(self, std_fixture):
         import numpy as np
@@ -46,7 +52,31 @@ class TestInterestPoints:
                 | {c for c, _ in p.longterm_prefs_7d}
             keywords = set(p.declared_interests)
             want = 3 * int(a.category in cats) + len(set(a.tags) & keywords)
-            assert interest_points(a, p) == want
+            assert served_points(a, p, pool) == want
+
+    @staticmethod
+    def history_of(*ids):
+        return BehaviorHistory(clicks=tuple(
+            Click(i, SID(0, 0, 0, 0), timestamp=float(t)) for t, i in enumerate(ids)))
+
+    def test_recent_click_tags_count(self):
+        clicked = art(1, tags=("ai", "chips"))
+        a = art(0, tags=("ai", "chips", "golf"))
+        pool = NewsPool([a, clicked])
+        scored = score_candidates([match(0)], pool, profile(()), self.history_of("r1"))
+        assert scored.points[0] == 2
+
+    def test_only_the_last_20_clicks_count(self):
+        pool = NewsPool([art(0, tags=("ai",)), art(1, tags=("ai",)), art(2, tags=("golf",))])
+        older = self.history_of("r1", *["r2"] * 20)
+        recent = self.history_of(*["r2"] * 20, "r1")
+        assert score_candidates([match(0)], pool, profile(()), older).points[0] == 0
+        assert score_candidates([match(0)], pool, profile(()), recent).points[0] == 1
+
+    def test_click_outside_the_pool_adds_nothing(self):
+        pool = NewsPool([art(0, tags=("ai",))])
+        scored = score_candidates([match(0)], pool, profile(()), self.history_of("gone"))
+        assert scored.points[0] == 0
 
 
 class TestRank:

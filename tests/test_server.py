@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import socket
+import sys
 import threading
 import time
 import urllib.request
@@ -107,6 +108,31 @@ class TestService:
             assert [ref() for ref in refs] == [None, None, None]
         finally:
             (gc.enable if was_enabled else gc.disable)()
+
+    def test_refresh_frees_the_articles_the_generator_sampled(self, std_fixture, tmp_path):
+        # The generator keeps no object of its pool: one kept SID would also
+        # keep the allocator's memory it shares with the snapshot's records.
+        save_snapshot(std_fixture.pool, tmp_path / "snap.jsonl")
+        pool = load_snapshot(tmp_path / "snap.jsonl")
+        generator = PoolSampledGenerator(pool, seed=3)
+        svc = RecommendService(pool, std_fixture.profiles, generator,
+                               histories=std_fixture.histories, enhance_workers=1)
+        was_enabled = gc.isenabled()
+        try:
+            for uid in sorted(std_fixture.profiles)[:5]:
+                svc.recommend(uid, "q")
+            svc.enhance.drain()
+            assert len(svc.cache) > 0
+            gc.disable()
+            ref, sid = weakref.ref(pool.articles[0]), pool.articles[0].sid
+            del pool
+            svc.refresh_pool(load_snapshot(tmp_path / "snap.jsonl"))
+            assert ref() is None
+            assert sys.getrefcount(sid) == 2       # this frame's name and the call's argument
+            assert svc.recommend(sorted(std_fixture.profiles)[0], "q").articles
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+            svc.close()
 
 
 class TestHttp:
