@@ -390,7 +390,7 @@ def _cmd_serve(args, cfg) -> int:
         n = warm_cache(profiles.values(), generator, service.cache, tau=cfg.tau,
                        ttl_seconds=cfg.ttl_seconds)
         logger.info("warmed %d cache entries", n)
-    serve_forever(service, args.host, cfg.port)
+    serve_forever(service, args.host, cfg.port, cfg.data_dir)
     return 0
 
 

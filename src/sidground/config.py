@@ -18,7 +18,7 @@ from .dualtrack import DEFAULT_TTL_SECONDS
 from .errors import InvalidInputError
 from .evaluation import DEFAULT_RESAMPLES, DEFAULT_SEED
 from .generator import DEFAULT_K
-from .jsonl import read_json
+from .jsonl import is_num, read_json
 from .padr import DEFAULT_TAU
 from .ranking import DEFAULT_LAMBDA
 
@@ -64,7 +64,7 @@ def parse_int_list(text: str, what: str) -> tuple[int, ...]:
 
 
 def _is_a(value, kind) -> bool:
-    return type(value) is kind or (kind is float and type(value) is int)   # no bools
+    return is_num(value) if kind is float else type(value) is kind   # no bools
 
 
 def _typed(value, default, text: bool):

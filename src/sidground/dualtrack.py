@@ -187,14 +187,11 @@ def merge_matches(per_prefix: Iterable[list[MatchResult]]) -> list[MatchResult]:
     return list(best.values())
 
 
-def _most_recent(pool: NewsPool, k: int, categories=None) -> list:
-    """The k newest articles (ties by id), pool-wide or in the given
-    categories. Rides the pool's cached recency orderings, so a fallback
-    serve costs O(k), not a pool-wide sort per request."""
-    if categories is None:
-        return list(pool.recency_order()[:k])
-    groups = pool.category_recency()
-    merged = heapq.merge(*(groups.get(cat, []) for cat in categories),
+def _most_recent(pool: NewsPool, k: int, categories: Iterable[str]) -> list:
+    """The k newest articles (ties by id) of the given categories: one
+    merge of the pool's per-category recency lists, built with the
+    snapshot: O(c + k log c) for c categories, and it writes nothing."""
+    merged = heapq.merge(*(pool.by_category.get(cat, ()) for cat in categories),
                          key=lambda a: (-a.published_at, a.id))
     return list(itertools.islice(merged, k))
 
@@ -283,7 +280,7 @@ def fallback_cascade(req: _Request, prefixes: tuple[SIDPrefix, ...] = (),
     Level 2: broadened matching (delta + 5) on the cached prefixes; a
     cache miss has none and starts at level 3.
     Level 3: the most recent articles in the profile's top categories.
-    Level 4: the most recent articles pool-wide.
+    Level 4: the most recent articles of every category of the pool.
 
     Levels 3 and 4 pick exactly the top k; rank() then only orders the
     picked set for presentation.
@@ -295,7 +292,8 @@ def fallback_cascade(req: _Request, prefixes: tuple[SIDPrefix, ...] = (),
     chosen = _most_recent(req.pool, req.k, req.context.profile.top_categories())
     if chosen:
         return req.respond(_as_matches(chosen), SERVED_FALLBACK_3)
-    return req.respond(_as_matches(_most_recent(req.pool, req.k)), SERVED_FALLBACK_4)
+    return req.respond(_as_matches(_most_recent(req.pool, req.k, req.pool.by_category)),
+                       SERVED_FALLBACK_4)
 
 
 def fast_track(

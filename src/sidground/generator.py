@@ -124,10 +124,7 @@ class HistPopGenerator:
 def build_category_map(pool: NewsPool, per_category: int = DEFAULT_K) -> dict[str, tuple[SIDPrefix, ...]]:
     """Dominant prefixes per editorial category, ranked by in-category
     frequency (ties lexicographic)."""
-    by_category: dict[str, list[Article]] = {}
-    for a in pool.articles:
-        by_category.setdefault(a.category, []).append(a)
-    return {cat: _top_prefixes(arts, per_category) for cat, arts in by_category.items()}
+    return {cat: _top_prefixes(arts, per_category) for cat, arts in pool.by_category.items()}
 
 
 class ProfileCategoryGenerator:

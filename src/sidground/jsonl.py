@@ -8,7 +8,8 @@ every failure a typed SidgroundError (CLI exit code 2) that names the
 refuse the NaN, Infinity and -Infinity constants that Python's json
 module accepts but JSON does not have. The field readers (json_str,
 json_int, ..., json_list, json_obj) are the one type policy: a field
-takes exactly its JSON type, and nothing converts.
+takes exactly its JSON type, and nothing converts. A number must also
+have a finite float (is_num).
 
 A JSONL read runs without the cyclic garbage collector. If the collector
 is enabled when the read starts, the reader collects once, disables the
@@ -27,11 +28,13 @@ from __future__ import annotations
 
 import gc
 import json
+import sys
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import DuplicateKeyError, InvalidInputError, RecordParseError, SidgroundError
 
 T = TypeVar("T")
+_MAX_FLOAT = sys.float_info.max
 
 
 def _parse_object(rec, parse: Callable[[dict], T], where: str) -> T:
@@ -68,11 +71,17 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def is_num(value) -> bool:
+    """Whether `value` is a JSON number with a finite float: not a bool or a
+    string (float() would take true and "3"), nor a number beyond the float
+    range (JSON decodes 1e400 to inf; float() overflows on 10**400)."""
+    return type(value) in (float, int) and -_MAX_FLOAT <= value <= _MAX_FLOAT
+
+
 def json_num(value, what: str) -> float:
-    """`value` as a float if it is a JSON number; a bool or a string raises
-    ValueError (float() would take true and "3")."""
-    if type(value) is not float and type(value) is not int:
-        raise ValueError(f"{what} must be a number, got {value!r}")
+    """`value` as a float if is_num(value), else ValueError."""
+    if not is_num(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -85,10 +94,12 @@ def json_strs(value, what: str) -> tuple[str, ...]:
 
 
 def json_nums(value, what: str) -> list:
-    """`value` if it is a JSON list of numbers; a bool or a numeric string
-    entry raises ValueError (numpy would take true and "2")."""
-    if type(value) is not list or not {float, int}.issuperset(map(type, value)):
-        raise ValueError(f"{what} must be a list of numbers, got {value!r}")
+    """`value` if it is a JSON list of numbers that each is_num, else
+    ValueError (numpy would take true and "2"). An entry beyond the float
+    range would be the least or the greatest, so only those are checked."""
+    if (type(value) is not list or not {float, int}.issuperset(map(type, value))
+            or value and not -_MAX_FLOAT <= min(value) <= max(value) <= _MAX_FLOAT):
+        raise ValueError(f"{what} must be a list of finite numbers, got {value!r}")
     return value
 
 

@@ -19,6 +19,7 @@ import logging
 from bisect import bisect_left
 from itertools import chain
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .codebook import SID, DEFAULT_LAYER_SIZES, check_layer_sizes, validate_sid
@@ -28,8 +29,6 @@ from .jsonl import json_int, json_num, json_obj, json_str, json_strs, read_keyed
 logger = logging.getLogger(__name__)
 
 _SNAPSHOT_META_KEY = "snapshot_meta"
-
-ARTICLE_FIELDS = ("id", "title", "category", "tags", "published_at", "sid")
 
 
 @dataclass(frozen=True)
@@ -53,10 +52,10 @@ class Article:
 
 
 class NewsPool:
-    """Immutable article snapshot. Do not mutate after construction.
-
-    layer_sizes is the codebook the snapshot's SIDs come from; every SID
-    or prefix served against the snapshot is range-checked against it.
+    """Immutable article snapshot, whole once built: by_id, and by_category,
+    each category's articles newest first (ties by id), which the recency
+    fallbacks merge. layer_sizes is the codebook the SIDs come from; every
+    SID or prefix served against the snapshot is range-checked against it.
     """
 
     def __init__(self, articles: Iterable[Article], version: int = 1, as_of: float = 0.0,
@@ -69,38 +68,19 @@ class NewsPool:
                 if a.id in seen:
                     raise DuplicateKeyError(f"duplicate article id {a.id!r}")
                 seen.add(a.id)
+        self.by_category: dict[str, list[Article]] = {}
+        for a in self.articles:
+            self.by_category.setdefault(a.category, []).append(a)
+        # Two stable C-keyed sorts per category: by id, then newest first.
+        for group in self.by_category.values():
+            group.sort(key=attrgetter("id"))
+            group.sort(key=attrgetter("published_at"), reverse=True)
         self.version = int(version)
         self.as_of = float(as_of)
         self.layer_sizes = tuple(layer_sizes)
-        self._recency: tuple[Article, ...] | None = None
-        self._by_category: dict[str, list[Article]] | None = None
 
     def __len__(self) -> int:
         return len(self.articles)
-
-    def __contains__(self, article_id: str) -> bool:
-        return article_id in self.by_id
-
-    def recency_order(self) -> tuple[Article, ...]:
-        """Articles newest-first (ties by id), computed once per snapshot.
-
-        Lazy init is benign under concurrent readers: a race recomputes
-        the same tuple.
-        """
-        if self._recency is None:
-            self._recency = tuple(
-                sorted(self.articles, key=lambda a: (-a.published_at, a.id))
-            )
-        return self._recency
-
-    def category_recency(self) -> dict[str, list[Article]]:
-        """Per-category newest-first article lists, computed once."""
-        if self._by_category is None:
-            grouped: dict[str, list[Article]] = {}
-            for a in self.recency_order():
-                grouped.setdefault(a.category, []).append(a)
-            self._by_category = grouped
-        return self._by_category
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,17 @@ Each request reads the index once, so a refresh never mixes pools.
 The HTTP layer is a thin JSON wrapper over it: a stdlib HTTPServer whose
 accepting thread hands each connection to a fixed pool of handler
 threads through a bounded queue, answering 503 when the queue is full.
+POST /refresh loads snapshots only from under the server's data directory
+(symlinks resolved): any other path, or any when there is none, gets 403.
 """
 
 from __future__ import annotations
 
+import copy
 import gc
 import json
 import logging
+import os
 import queue
 import socket
 import threading
@@ -102,8 +106,8 @@ class RecommendService:
         with self._swap_lock:
             old_pool = self.index.pool
             if new_pool.version <= old_pool.version:
-                new_pool = NewsPool(new_pool.articles, version=old_pool.version + 1,
-                                    as_of=new_pool.as_of, layer_sizes=new_pool.layer_sizes)
+                new_pool = copy.copy(new_pool)      # shares every structure, builds none
+                new_pool.version = old_pool.version + 1
             self.index = build_index(new_pool)
         return new_pool.version
 
@@ -124,6 +128,7 @@ def _gc_record() -> dict:
 
 class _Handler(BaseHTTPRequestHandler):
     service: RecommendService = None  # type: ignore[assignment]
+    data_dir: str | None = None     # realpath; POST /refresh loads only under it
     # Buffer the status line, headers and body: handle_one_request's flush
     # sends a reply of up to 8 KiB (io.DEFAULT_BUFFER_SIZE) in one write.
     wbufsize = -1
@@ -191,6 +196,11 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path == "/refresh":
             try:
                 path = json_str(body["path"], "path")   # open() would take an int as an fd
+                root = self.data_dir
+                if root is not None:
+                    path = os.path.realpath(os.path.join(root, path))   # relative: in root
+                if root is None or os.path.commonpath((root, path)) != root:
+                    return 403, {"error": "refresh reads snapshots only under the data directory"}
                 new_pool = load_snapshot(path, self.service.cache.layer_sizes)
                 version = self.service.refresh_pool(new_pool)
             except (KeyError, ValueError, OSError, SidgroundError) as e:
@@ -274,13 +284,15 @@ class _PoolServer(HTTPServer):
             worker.join()
 
 
-def make_http_server(service: RecommendService, host: str = "127.0.0.1", port: int = 8080):
-    handler = type("BoundHandler", (_Handler,), {"service": service})
+def make_http_server(service: RecommendService, host: str = "127.0.0.1", port: int = 8080,
+                     data_dir: str | None = None):
+    resolved = None if data_dir is None else os.path.realpath(data_dir)
+    handler = type("BoundHandler", (_Handler,), {"service": service, "data_dir": resolved})
     return _PoolServer((host, port), handler)
 
 
-def serve_forever(service: RecommendService, host: str, port: int):
-    httpd = make_http_server(service, host, port)
+def serve_forever(service: RecommendService, host: str, port: int, data_dir: str | None = None):
+    httpd = make_http_server(service, host, port, data_dir)
     logger.info("serving on %s:%d", host, port)
     try:
         httpd.serve_forever()

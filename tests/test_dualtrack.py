@@ -18,6 +18,7 @@ from sidground.dualtrack import (
     ServeResponse,
     SIDCache,
     TrackMetrics,
+    _most_recent,
     ctx_hash,
     enhance_track,
     fast_track,
@@ -240,6 +241,41 @@ class TestFallbackCascade:
             resp = fast_track(c, SIDCache(), build_index(pool), k=k, now=NOW)
             assert resp.served_from == level
             assert {a.article_id for a in resp.articles} == {a.id for a in want}
+
+    def test_recency_merge_equals_sort_then_slice(self):
+        # Oracle: merging the snapshot's per-category recency lists gives
+        # the pool-wide sort (newest first, ties by id), kept to the asked
+        # categories and cut at k: with tied times, articles without a
+        # category, asked categories the pool lacks and k past the pool.
+        rng = random.Random(23)
+        categories = ["a", "b", "c", ""]
+        for _ in range(200):
+            n = rng.randint(0, 30)
+            pool = NewsPool([
+                Article(id=f"r{i:03d}", title="", category=rng.choice(categories), tags=(),
+                        published_at=NOW - 3600.0 * rng.randint(0, 3), sid=SID(0, 0, 0, 0))
+                for i in rng.sample(range(200), n)
+            ])
+            newest = sorted(pool.articles, key=lambda a: (-a.published_at, a.id))
+            asked = rng.sample(categories + ["unknown"], rng.randint(0, 3))
+            for cats in (asked, list(pool.by_category)):
+                k = rng.randint(1, n + 5)
+                want = [a for a in newest if a.category in cats][:k]
+                assert _most_recent(pool, k, cats) == want
+
+    def test_fallbacks_write_nothing_to_the_snapshot(self):
+        pool = NewsPool([art(0), art(1, age_hours=2.0), art(2, category="weather")])
+        index = build_index(pool)
+        before = dict(vars(pool))
+        lists = {cat: list(group) for cat, group in pool.by_category.items()}
+        for interests, level in ((("technology",), "fallback_level_3"),
+                                 (("sports",), "fallback_level_4")):
+            c = route(UserProfile(user_id="u", declared_interests=interests), EMPTY_HISTORY,
+                      "q", tau=10)
+            assert fast_track(c, SIDCache(), index, now=NOW).served_from == level
+        assert vars(pool).keys() == before.keys()
+        assert all(vars(pool)[key] is value for key, value in before.items())
+        assert pool.by_category == lists
 
 
 class TestServingGolden:

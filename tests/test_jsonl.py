@@ -49,6 +49,17 @@ def cache_entry(i, sid=(1, 2, 3)):
     return {"ctx_hash": i, "prefixes": [list(sid)], "reason": "", "ts": 1.0, "ttl_seconds": 10}
 
 
+# Numbers beyond the float range. JSON decodes the literal 1e400 to inf,
+# which json.dumps cannot write: _dumps writes OVERFLOW as that literal.
+# float() overflows on HUGE, a 401-digit integer.
+OVERFLOW = "<the literal 1e400>"
+HUGE = 10**400
+
+
+def _dumps(value) -> str:
+    return json.dumps(value).replace(json.dumps(OVERFLOW), "1e400")
+
+
 # name -> (loader, record(i, sid=...), a required field, an id field that must be a
 # JSON string, out-of-range SID, lines before)
 LOADERS = {
@@ -229,6 +240,18 @@ def test_non_finite_config_value_names_path(tmp_path):
     assert str(exc.value) == f"{path}: bad JSON: NaN is not a JSON number"
 
 
+@pytest.mark.parametrize("published_at", [OVERFLOW, HUGE], ids=["1e400", "10**400"])
+def test_cli_number_beyond_float_range_exits_2(tmp_path, capsys, published_at):
+    # 1e400 loaded as inf; float() raised a bare OverflowError on the integer.
+    path = tmp_path / "pool.jsonl"
+    path.write_text(json.dumps(article(0)) + "\n"
+                    + _dumps({**article(1), "published_at": published_at}) + "\n")
+    code = dispatch(["pool", "ingest", "--in", str(path), "--out", str(tmp_path / "snap.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("sidground: error: line 2:") and "published_at" in err
+
+
 def test_cli_embedding_that_is_not_a_list_exits_2(tmp_path, capsys):
     # np.asarray would fail on it with a bare ValueError and a traceback.
     path = tmp_path / "emb.jsonl"
@@ -357,17 +380,18 @@ FIELDS = {
 def _wrong_values(kind, good) -> list:
     """Values of the wrong JSON type for a field of `kind` that holds `good`:
     null, a bool, a float for an integer, a numeric string for a number, a
-    number for a string, and a string or an object for a list."""
+    number for a string, a string or an object for a list, and a number
+    beyond the float range where a number belongs."""
     if kind == "sid":
         return [None, "abc", [float(good[0]), *good[1:]], [True, *good[1:]],
                 [str(good[0]), *good[1:]]]
     return {
         "str": [None, True, 7, 2.5],
         "int": [None, True, 2.7, "3"],
-        "num": [None, True, "3"],
+        "num": [None, True, "3", OVERFLOW, HUGE, -HUGE],
         "bool": [None, 1, "true"],
         "strs": [None, "abc", [7], ["x", None]],
-        "nums": [None, "ab", [True, 0.5], [1, "2"]],
+        "nums": [None, "ab", [True, 0.5], [1, "2"], [1.0, OVERFLOW], [-HUGE, 0.5]],
         "sizes": [None, "abcd", [32.9, 64, 128, True], [32, 64, 128, "1024"],
                   [32, 64, 128, 1024.0], [32, 64, 128]],
         "list": [None, "abc", {}],
@@ -386,16 +410,17 @@ def _rows():
         doc = FIELD_LOADERS[name][1]
         for path, kind in fields:
             for value in _wrong_values(kind, _at(doc, path)):
+                label = _dumps(value).replace(str(HUGE), "10**400")
                 yield pytest.param(name, path, kind, value,
-                                   id=f"{name}:{'.'.join(map(str, path))}={json.dumps(value)}")
+                                   id=f"{name}:{'.'.join(map(str, path))}={label}")
 
 
 def _write(tmp_path, doc):
     path = tmp_path / "in.json"
     if isinstance(doc, list):
-        path.write_text("".join(json.dumps(rec) + "\n" for rec in doc))
+        path.write_text("".join(_dumps(rec) + "\n" for rec in doc))
     else:
-        path.write_text(json.dumps(doc))
+        path.write_text(_dumps(doc))
     return path
 
 
@@ -541,7 +566,6 @@ def test_reference_counting_frees_a_loaded_pool(tmp_path, collector):
     # counting frees them, which needs a snapshot without reference cycles.
     gc.enable()
     pool = load_snapshot(_write(tmp_path, [article(i) for i in range(50)]))
-    pool.recency_order()
     gc.disable()
     pool_ref, article_ref = weakref.ref(pool), weakref.ref(pool.articles[0])
     del pool

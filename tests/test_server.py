@@ -29,9 +29,8 @@ def service(std_fixture):
     svc.close()
 
 
-@pytest.fixture()
-def http_server(service):
-    httpd = make_http_server(service, "127.0.0.1", 0)
+def _running(service, data_dir=None):
+    httpd = make_http_server(service, "127.0.0.1", 0, data_dir=data_dir)
     port = httpd.server_address[1]
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
@@ -39,6 +38,23 @@ def http_server(service):
     httpd.shutdown()
     thread.join()
     httpd.server_close()
+
+
+@pytest.fixture()
+def http_server(service):
+    yield from _running(service)
+
+
+@pytest.fixture()
+def data_dir(tmp_path):
+    (tmp_path / "data").mkdir()
+    return tmp_path / "data"
+
+
+@pytest.fixture()
+def refresh_server(service, data_dir):
+    """A server whose POST /refresh reads snapshots under data_dir."""
+    yield from _running(service, str(data_dir))
 
 
 def post(url, doc):
@@ -83,6 +99,19 @@ class TestService:
         assert index is not old_index and index.pool.version == version
         assert sum(map(len, index.buckets.values())) == len(index.pool) == len(old_pool) - 1
 
+
+    def test_reversioning_refresh_publishes_the_loaded_snapshot(self, service, std_fixture,
+                                                                 tmp_path):
+        # A loaded snapshot whose version is not newer is published under the
+        # next version without building its structures a second time.
+        save_snapshot(std_fixture.pool, tmp_path / "snap.jsonl")
+        loaded = load_snapshot(tmp_path / "snap.jsonl")
+        assert service.refresh_pool(loaded) == std_fixture.pool.version + 1
+        published = service.index.pool
+        assert published.version == std_fixture.pool.version + 1
+        assert loaded.version == std_fixture.pool.version
+        assert published.by_id is loaded.by_id and published.articles is loaded.articles
+        assert published.by_category is loaded.by_category
 
     def test_refresh_lets_reference_counting_free_the_old_snapshot(
             self, service, std_fixture, tmp_path):
@@ -163,13 +192,15 @@ class TestHttp:
         assert len(gc_block["collections"]) == len(gc_block["collected"]) == 3
         assert gc_block["frozen"] == gc.get_freeze_count()
 
-    def test_refresh_endpoint(self, http_server, std_fixture, tmp_path):
-        base, service = http_server
+    def test_refresh_endpoint(self, refresh_server, std_fixture, data_dir):
+        base, service = refresh_server
         new_pool = refresh(std_fixture.pool, remove=[std_fixture.pool.articles[0].id])
-        snap = tmp_path / "next.jsonl"
-        save_snapshot(new_pool, snap)
-        doc = post(base + "/refresh", {"path": str(snap)})
-        assert doc["pool_version"] == std_fixture.pool.version + 1
+        save_snapshot(new_pool, data_dir / "next.jsonl")
+        doc = post(base + "/refresh", {"path": str(data_dir / "next.jsonl")})
+        assert doc == {"pool_version": std_fixture.pool.version + 1, "articles": len(new_pool)}
+        # A relative path is joined to the data directory.
+        doc = post(base + "/refresh", {"path": "next.jsonl"})
+        assert doc["pool_version"] == std_fixture.pool.version + 2
 
     def test_bad_json_is_400(self, http_server):
         base, _ = http_server
@@ -184,6 +215,59 @@ class TestHttp:
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(base + "/nothing")
         assert exc.value.code == 404
+
+
+def status_of(url, doc) -> int:
+    try:
+        post(url, doc)
+    except urllib.error.HTTPError as e:
+        return e.code
+    return 200
+
+
+class TestRefreshConfinement:
+    """POST /refresh loads a snapshot only from under the server's data
+    directory; anything else gets a 403 and leaves the serving pool."""
+
+    @pytest.fixture()
+    def outside(self, std_fixture, tmp_path):
+        save_snapshot(std_fixture.pool, tmp_path / "outside.jsonl")     # a valid snapshot
+        return tmp_path / "outside.jsonl"
+
+    def test_path_outside_the_data_directory_is_403(self, refresh_server, outside):
+        base, service = refresh_server
+        for path in (str(outside), "../outside.jsonl", "/etc/passwd"):
+            assert status_of(base + "/refresh", {"path": path}) == 403
+        assert service.index.pool.version == 1
+
+    def test_symlink_out_of_the_data_directory_is_403(self, refresh_server, data_dir, outside):
+        base, service = refresh_server
+        (data_dir / "link.jsonl").symlink_to(outside)
+        (data_dir / "sub").symlink_to(outside.parent)
+        for path in ("link.jsonl", "sub/outside.jsonl"):
+            assert status_of(base + "/refresh", {"path": path}) == 403
+        assert service.index.pool.version == 1
+
+    def test_no_data_directory_refuses_every_refresh(self, http_server, tmp_path, outside):
+        base, service = http_server
+        assert status_of(base + "/refresh", {"path": str(outside)}) == 403
+        assert service.index.pool.version == 1
+
+    @pytest.mark.parametrize("published_at", ["1e400", str(10**400)], ids=["1e400", "10**400"])
+    def test_number_beyond_float_range_is_422(self, refresh_server, std_fixture, data_dir,
+                                              published_at):
+        # 1e400 loaded as inf, and the integer raised a bare OverflowError (500).
+        base, service = refresh_server
+        save_snapshot(std_fixture.pool, data_dir / "snap.jsonl")
+        lines = (data_dir / "snap.jsonl").read_text().splitlines()
+        record = {**json.loads(lines[2]), "published_at": "<published_at>"}
+        lines[2] = json.dumps(record).replace('"<published_at>"', published_at)
+        (data_dir / "snap.jsonl").write_text("\n".join(lines) + "\n")
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            post(base + "/refresh", {"path": "snap.jsonl"})
+        assert exc.value.code == 422
+        assert json.loads(exc.value.read())["error"].startswith("line 3: ")
+        assert service.index.pool.version == 1
 
 
 class TestHttpBadInput:
